@@ -234,6 +234,11 @@ func BenchmarkUMONAccess(b *testing.B) {
 	}
 }
 
+// BenchmarkFullRunCoopPart is one complete CoopPart run of G2-8 —
+// warm-up, measured region and result assembly — at UnitScale (the
+// TestScale hierarchy with a tenth of its instruction budget), not at
+// FullScale: "Full" means the whole run end to end, not the paper's
+// Table 2 scale.
 func BenchmarkFullRunCoopPart(b *testing.B) {
 	g, err := workload.FindGroup("G2-8")
 	if err != nil {

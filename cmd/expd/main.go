@@ -2,8 +2,8 @@
 // over the memoising experiments.Runner (DESIGN.md §13). Clients (the
 // other binaries with -server) post fully keyed run requests; expd
 // deduplicates them through the same in-memory memo and persistent
-// store layers local runs use, simulates misses, and returns verified
-// result envelopes. Fidelity travels per request, not per daemon: a
+// store layers local runs use, simulates misses, and returns
+// checksummed result frames. Fidelity travels per request, not per daemon: a
 // client's -fidelity/-sample-sets choice arrives inside the run key
 // (the sample stride is part of the scale fingerprint), so one daemon
 // serves exact, fast-forward and set-sampled runs without aliasing. SIGINT/SIGTERM drains: in-flight simulations

@@ -22,6 +22,8 @@
 // front-end every binary can consult through -server — with retry,
 // backoff and transparent local fallback (DESIGN.md §13); the shared
 // flag vocabulary those binaries validate lives in internal/cliutil.
+// Store entries, checkpoints and both /v1/run bodies travel in one
+// checksummed binary frame, internal/wire (DESIGN.md §12).
 // Long runs survive crashes via internal/ckpt (DESIGN.md §14):
 // -checkpoint-dir persists warm-up prefixes (each computed exactly
 // once per identity and shared across schemes' solo/profile runs and

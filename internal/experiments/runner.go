@@ -50,9 +50,10 @@ type Config struct {
 	// Store is the persistent result cache layered under the in-memory
 	// memo (nil = memory only): lookups go memory → disk → simulate,
 	// and every simulated result is published back. Results are
-	// bit-identical either way — JSON round-trips every field exactly —
-	// and a store fault can only cost recomputation, never correctness
-	// (the store degrades internally and never fails a caller).
+	// bit-identical either way — the wire codec round-trips every
+	// field exactly — and a store fault can only cost recomputation,
+	// never correctness (the store degrades internally and never fails
+	// a caller).
 	Store *store.Store
 	// Remote is an optional experiment server layered between the disk
 	// store and local simulation (nil = compute locally): lookups go

@@ -3,7 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand/v2"
@@ -18,6 +18,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/partition"
 	"repro/internal/sim"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -233,7 +234,7 @@ func (c *Client) exchange(req RunRequest, value any) bool {
 	if c == nil || c.degraded.Load() {
 		return false
 	}
-	body, err := json.Marshal(req)
+	body, err := frameFormat.Encode(req.Key, req)
 	if err != nil {
 		// Unencodable request: a programming error, not a transport
 		// fault. Warn once and compute locally.
@@ -285,7 +286,7 @@ func (c *Client) attempt(key string, body []byte, value any) (err error, permane
 	if err != nil {
 		return err, true
 	}
-	httpReq.Header.Set("Content-Type", "application/json")
+	httpReq.Header.Set("Content-Type", contentType)
 	resp, err := c.hc.Do(httpReq)
 	if err != nil {
 		return err, false
@@ -297,9 +298,15 @@ func (c *Client) attempt(key string, body []byte, value any) (err error, permane
 	}
 	switch {
 	case resp.StatusCode == http.StatusOK:
-		// Verified envelope or bust: any torn/corrupt body surfaces
-		// here and is retried like a dropped connection.
-		return decodeResponse(key, data, value), false
+		// Verified frame or bust: any torn/corrupt body surfaces here
+		// and is retried like a dropped connection. A well-formed
+		// frame of another protocol version or result type is skew
+		// no retry can cure.
+		if err := frameFormat.Decode(data, key, value); err != nil {
+			return fmt.Errorf("service: response: %w", err),
+				errors.Is(err, wire.ErrVersion) || errors.Is(err, wire.ErrSchema)
+		}
+		return nil, false
 	case resp.StatusCode >= 400 && resp.StatusCode < 500:
 		return fmt.Errorf("service: server says %s: %s",
 			resp.Status, strings.TrimSpace(string(data))), true

@@ -25,10 +25,10 @@ const (
 	// Fault5xx replaces the response with a synthetic 500.
 	Fault5xx
 	// FaultTruncate cuts the real response body in half (a torn
-	// transfer); the envelope's length check catches it.
+	// transfer); the frame's length check catches it.
 	FaultTruncate
 	// FaultCorrupt flips one bit of the real response payload; the
-	// envelope's checksum catches it.
+	// frame's checksum catches it.
 	FaultCorrupt
 	faultCount
 )
@@ -153,8 +153,8 @@ func (t *FaultTripper) RoundTrip(req *http.Request) (*http.Response, error) {
 		if f == FaultTruncate {
 			data = data[:len(data)/2]
 		} else if len(data) > 0 {
-			// Flip a bit in the payload tail, past the envelope line,
-			// so the checksum (not the envelope parse) catches it.
+			// Flip a bit in the payload tail, past the frame header
+			// and key, so the checksum (not a header field) catches it.
 			data[len(data)-1] ^= 1
 		}
 		resp.Body = io.NopCloser(bytes.NewReader(data))

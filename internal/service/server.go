@@ -47,7 +47,7 @@ type ServerOptions struct {
 }
 
 // Server is the HTTP front-end over experiments.Runner. One Server
-// hosts one runner per (scale fingerprint, seed) pair, created on
+// hosts one runner per (scale, seed) pair, created on
 // first use, all sharing one Store — so any client, at any scale or
 // seed, gets results deduplicated through the same memo and disk
 // layers the binaries use locally. All methods are safe for
@@ -60,7 +60,7 @@ type Server struct {
 	sem         chan struct{}
 
 	mu      sync.Mutex
-	runners map[string]*experiments.Runner
+	runners map[runnerKey]*experiments.Runner
 
 	draining  atomic.Bool
 	requests  atomic.Uint64
@@ -89,16 +89,21 @@ func NewServer(opts ServerOptions) *Server {
 		checkpoints: opts.Checkpoints,
 		logf:        logf,
 		sem:         make(chan struct{}, opts.MaxConcurrent),
-		runners:     make(map[string]*experiments.Runner),
+		runners:     make(map[runnerKey]*experiments.Runner),
 	}
 }
 
+// runnerKey identifies a runner: the whole Scale value, not its name,
+// so two scales differing in any field get distinct runners.
+type runnerKey struct {
+	scale sim.Scale
+	seed  uint64
+}
+
 // runner returns (building on first use) the memoising runner for one
-// (scale, seed) identity. The map key is the scale *fingerprint*, so
-// two scales differing in any field get distinct runners even when
-// they share a name.
+// (scale, seed) identity.
 func (s *Server) runner(sc sim.Scale, seed uint64) *experiments.Runner {
-	key := store.Fingerprint(sc) + "|" + strconv.FormatUint(seed, 10)
+	key := runnerKey{sc, seed}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r, ok := s.runners[key]
@@ -194,7 +199,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req RunRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	frame, err := frameFormat.Open(body)
+	if err == nil {
+		err = frame.Decode(&req)
+	}
+	if err == nil && frame.Key() != req.Key {
+		err = fmt.Errorf("frame key %q differs from request key %q", frame.Key(), req.Key)
+	}
+	if err != nil {
 		http.Error(w, "decoding request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -260,13 +272,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	resp, err := encodeResponse(req.Key, value)
+	resp, err := frameFormat.Encode(req.Key, value)
 	if err != nil {
 		s.failed.Add(1)
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		http.Error(w, "service: encoding result: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-coopserve")
+	w.Header().Set("Content-Type", contentType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(resp)))
 	w.Write(resp)
 	s.completed.Add(1)

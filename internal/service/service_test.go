@@ -1,15 +1,17 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/sim"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -272,26 +274,38 @@ func TestKeyMismatchIsPermanent(t *testing.T) {
 	}
 }
 
-// TestServerRejectsGarbage: malformed bodies, bad fidelity, unknown
-// kinds, wrong methods.
+// TestServerRejectsGarbage: malformed bodies, a version-1 JSON body,
+// bad fidelity, unknown kinds, frames of another version or key, and
+// wrong methods.
 func TestServerRejectsGarbage(t *testing.T) {
 	base, _, _ := newTestServer(t)
-	post := func(body string) int {
-		resp, err := http.Post(base+"/v1/run", "application/json", strings.NewReader(body))
+	post := func(body []byte) int {
+		resp, err := http.Post(base+"/v1/run", contentType, bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		return resp.StatusCode
 	}
-	if code := post("{not json"); code != http.StatusBadRequest {
-		t.Fatalf("malformed body: %d", code)
+	frame := func(f wire.Format, key string, req RunRequest) []byte {
+		b, err := f.Encode(key, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	if code := post(`{"kind":"run","fidelity":"warp9"}`); code != http.StatusBadRequest {
-		t.Fatalf("bad fidelity: %d", code)
-	}
-	if code := post(`{"kind":"teleport","fidelity":"exact"}`); code != http.StatusBadRequest {
-		t.Fatalf("unknown kind: %d", code)
+	for name, body := range map[string][]byte{
+		"malformed body":  []byte("{not json"),
+		"v1 JSON body":    []byte(`{"kind":"run","key":"k","fidelity":"exact"}`),
+		"bad fidelity":    frame(frameFormat, "k", RunRequest{Kind: KindRun, Key: "k", Fidelity: "warp9"}),
+		"unknown kind":    frame(frameFormat, "k", RunRequest{Kind: "teleport", Key: "k", Fidelity: "exact"}),
+		"other version":   frame(wire.NewFormat("coopserv", ProtocolVersion+1), "k", RunRequest{Kind: KindRun, Key: "k", Fidelity: "exact"}),
+		"frame key skew":  frame(frameFormat, "k", RunRequest{Kind: KindRun, Key: "other", Fidelity: "exact"}),
+		"truncated frame": frame(frameFormat, "k", RunRequest{Kind: KindRun, Key: "k", Fidelity: "exact"})[:70],
+	} {
+		if code := post(body); code != http.StatusBadRequest {
+			t.Errorf("%s: %d, want 400", name, code)
+		}
 	}
 	resp, err := http.Get(base + "/v1/run")
 	if err != nil {
@@ -300,6 +314,29 @@ func TestServerRejectsGarbage(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/run: %d", resp.StatusCode)
+	}
+}
+
+// TestRunnerPerScaleAndSeed: the server keys its runners by the whole
+// Scale value and the seed, so two scales that differ in one field
+// never share a memo.
+func TestRunnerPerScaleAndSeed(t *testing.T) {
+	srv := NewServer(ServerOptions{Logf: quietf(t)})
+	sc := sim.UnitScale()
+	other := sc
+	other.MSHRs++
+	r := srv.runner(sc, 1)
+	if srv.runner(sc, 1) != r {
+		t.Fatal("same (scale, seed) built a second runner")
+	}
+	if srv.runner(other, 1) == r {
+		t.Fatal("scales differing only in MSHRs share a runner")
+	}
+	if srv.runner(sc, 2) == r {
+		t.Fatal("seeds 1 and 2 share a runner")
+	}
+	if n := srv.Snapshot().Runners; n != 3 {
+		t.Fatalf("%d runners, want 3", n)
 	}
 }
 
@@ -381,38 +418,77 @@ func TestProgressEndpoint(t *testing.T) {
 	}
 }
 
-// TestEnvelopeVerification pins the wire format's self-checks.
+// TestEnvelopeVerification pins the response frame's self-checks and
+// which failures the client may retry.
 func TestEnvelopeVerification(t *testing.T) {
 	payload := map[string]int{"x": 42}
-	enc, err := encodeResponse("k1", payload)
+	enc, err := frameFormat.Encode("k1", payload)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out map[string]int
-	if err := decodeResponse("k1", enc, &out); err != nil {
+	if err := frameFormat.Decode(enc, "k1", &out); err != nil {
 		t.Fatal(err)
 	}
 	if out["x"] != 42 {
 		t.Fatalf("round trip lost the payload: %v", out)
 	}
-	if err := decodeResponse("other", enc, &out); err == nil {
-		t.Fatal("key mismatch not detected")
-	}
-	if err := decodeResponse("k1", enc[:len(enc)-3], &out); err == nil {
-		t.Fatal("truncation not detected")
+	otherVersion, err := wire.NewFormat("coopserv", ProtocolVersion+1).Encode("k1", payload)
+	if err != nil {
+		t.Fatal(err)
 	}
 	flipped := append([]byte(nil), enc...)
 	flipped[len(flipped)-1] ^= 1
-	if err := decodeResponse("k1", flipped, &out); err == nil {
-		t.Fatal("corruption not detected")
+	var wrongType []string
+	for _, c := range []struct {
+		name string
+		body []byte
+		into any
+		want error
+	}{
+		{"key mismatch", enc, &out, wire.ErrKey},
+		{"truncation", enc[:len(enc)-3], &out, wire.ErrCorrupt},
+		{"corruption", flipped, &out, wire.ErrCorrupt},
+		{"garbage", []byte("junk\n{}"), &out, wire.ErrCorrupt},
+		{"v1 envelope", []byte(`{"magic":"coopserve","version":1,"key":"k1","len":8,"sha256":"x"}` + "\n{\"x\":42}"), &out, wire.ErrCorrupt},
+		{"other version", otherVersion, &out, wire.ErrVersion},
+		{"other result type", enc, &wrongType, wire.ErrSchema},
+	} {
+		key := "k1"
+		if c.name == "key mismatch" {
+			key = "other"
+		}
+		if err := frameFormat.Decode(c.body, key, c.into); !errors.Is(err, c.want) {
+			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
+		}
 	}
-	if err := decodeResponse("k1", []byte("junk\n{}"), &out); err == nil {
-		t.Fatal("garbage envelope not detected")
+}
+
+// TestResponseSkewIsPermanent: a server answering with a frame of
+// another protocol version is skew no retry can cure — the client
+// degrades after one call instead of retrying.
+func TestResponseSkewIsPermanent(t *testing.T) {
+	restore := sleepFn
+	sleepFn = func(time.Duration) {}
+	defer func() { sleepFn = restore }()
+
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := wire.NewFormat("coopserv", ProtocolVersion+1).Encode("k1", sim.Results{})
+		w.Write(body)
+	}))
+	t.Cleanup(hs.Close)
+	tr := &FaultTripper{}
+	cl := newTestClient(t, hs.URL, ClientOptions{Transport: tr, MaxAttempts: 5})
+	if _, ok := cl.RemoteAlone("k1", sim.UnitScale(), 1, "gcc", 2, sim.FidelityExact); ok {
+		t.Fatal("skewed response returned a result")
+	}
+	if !cl.Degraded() || tr.Calls() != 1 {
+		t.Fatalf("degraded=%v after %d calls; want degraded after 1", cl.Degraded(), tr.Calls())
 	}
 }
 
 // BenchmarkServiceRoundTrip measures one warm remote lookup end to end
-// (HTTP + envelope + verification, result already memoised
+// (HTTP + frame encode + verification + decode, result already memoised
 // server-side) — the per-request overhead DESIGN.md §13 quotes.
 func BenchmarkServiceRoundTrip(b *testing.B) {
 	srv := NewServer(ServerOptions{Logf: func(string, ...any) {}})

@@ -10,6 +10,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/partition"
 	"repro/internal/umon"
+	"repro/internal/wire"
 )
 
 // Snapshot is the complete dynamic state of a System at an instruction
@@ -165,16 +166,17 @@ func (s *System) RestoreSnapshot(snap *Snapshot) error {
 }
 
 // MarshalSnapshot serializes a snapshot to the checkpoint payload
-// format: one JSON document. JSON round-trips every float64 exactly
-// (shortest-decimal encoding), so off-grid clocks survive verbatim;
-// determinism of the bytes (no maps anywhere in the snapshot tree)
-// is what makes checkpoint entries content-addressable.
-func MarshalSnapshot(snap *Snapshot) ([]byte, error) { return json.Marshal(snap) }
+// format: the wire payload codec, the same bytes a store entry of the
+// snapshot carries after its frame header and key. Floats travel as
+// raw IEEE bits, so off-grid clocks survive verbatim, and the encoding
+// is deterministic, which is what makes checkpoint entries
+// content-addressable.
+func MarshalSnapshot(snap *Snapshot) ([]byte, error) { return wire.Marshal(snap) }
 
 // UnmarshalSnapshot parses a checkpoint payload.
 func UnmarshalSnapshot(data []byte) (*Snapshot, error) {
 	var snap Snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
+	if err := wire.Unmarshal(data, &snap); err != nil {
 		return nil, err
 	}
 	return &snap, nil

@@ -96,7 +96,7 @@ func roundTripEveryBoundary(t testing.TB, cfg RunConfig, every uint64) int {
 // cadence is the hard case: boundaries land mid-phase at arbitrary
 // points of the generators' RNG walks, FastForward's jump state and
 // the fractional-MLP clocks, none of which may lose precision through
-// the JSON round-trip.
+// the wire round-trip.
 func TestSnapshotRoundTripAtEveryRecordBoundary(t *testing.T) {
 	for _, fid := range []Fidelity{FidelityExact, FidelityFastForward} {
 		for _, every := range []uint64{30_000, 7_919} {

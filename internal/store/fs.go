@@ -1,14 +1,14 @@
 // Package store is the crash-safe persistent result cache layered
 // under the experiment Runner's in-memory memo (DESIGN.md §12): a
-// content-addressed on-disk map from canonical run keys to JSON-encoded
-// results, shared by every binary and every process pointed at one
-// -cache-dir. Durability is the point — atomic publish via
-// temp-file + fsync + rename, per-entry SHA-256 verification with
-// quarantine of corrupt entries, cross-process write exclusion via
-// lockfiles with stale-lock reclamation — and so is graceful
-// degradation: no store fault ever fails a caller; the disk layer
-// silently drops out (per key, then entirely) and the in-memory memo
-// carries the run. Every syscall the store issues goes through the FS
+// content-addressed on-disk map from canonical run keys to results in
+// checksummed wire frames (internal/wire), shared by every binary and
+// every process pointed at one -cache-dir. Durability is the point —
+// atomic publish via temp-file + fsync + rename, per-entry SHA-256
+// verification with quarantine of corrupt entries, cross-process write
+// exclusion via lockfiles with stale-lock reclamation — and so is
+// graceful degradation: no store fault ever fails a caller; the disk
+// layer silently drops out (per key, then entirely) and the in-memory
+// memo carries the run. Every syscall the store issues goes through the FS
 // interface so the fault-injecting implementation (FaultFS) can prove
 // the failure model at each boundary.
 package store

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 )
@@ -45,17 +46,11 @@ func (s *Store) acquireLock(name string) (func(), error) {
 	for {
 		f, err := s.fs.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 		if err == nil {
-			owner := lockOwner{PID: os.Getpid()}
-			owner.BootTicks, _ = bootTicksOf(owner.PID)
-			b, merr := json.Marshal(owner)
-			var werr error
-			if merr == nil {
-				_, werr = f.Write(b)
-			}
+			_, werr := f.Write(selfLockOwner())
 			cerr := f.Close()
-			if merr != nil || werr != nil || cerr != nil {
+			if werr != nil || cerr != nil {
 				s.fs.Remove(path)
-				return nil, fmt.Errorf("store: writing lockfile: %w", firstErr(merr, werr, cerr))
+				return nil, fmt.Errorf("store: writing lockfile: %w", firstErr(werr, cerr))
 			}
 			// Track live locks so an interrupt handler (HandleSignals)
 			// can release everything this process still holds.
@@ -123,7 +118,7 @@ func (s *Store) lockIsStale(path string) bool {
 		// (or unreadable) ticks mean another goroutine holds it, alive
 		// by definition.
 		if owner.BootTicks != 0 {
-			if ticks, ok := bootTicksOf(owner.PID); ok && ticks != owner.BootTicks {
+			if ticks, ok := selfBootTicks(); ok && ticks != owner.BootTicks {
 				return true
 			}
 		}
@@ -156,6 +151,19 @@ func processAlive(pid int) bool {
 	}
 	return true
 }
+
+// selfBootTicks is this process's start time, read from /proc once:
+// it cannot change while the process runs. Other PIDs' start times are
+// read afresh on every staleness check.
+var selfBootTicks = sync.OnceValues(func() (uint64, bool) { return bootTicksOf(os.Getpid()) })
+
+// selfLockOwner is the content of every lockfile this process takes:
+// the JSON form of its lockOwner, built once.
+var selfLockOwner = sync.OnceValue(func() []byte {
+	ticks, _ := selfBootTicks()
+	b, _ := json.Marshal(lockOwner{PID: os.Getpid(), BootTicks: ticks})
+	return b
+})
 
 // bootTicksOf reads a process's start time in clock ticks since boot
 // from /proc (Linux); ok=false elsewhere, degrading staleness checks to

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -14,24 +15,16 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // FormatVersion is the on-disk entry format. Bumping it orphans old
 // entries (they read as misses and are overwritten on the next Put).
-const FormatVersion = 1
+const FormatVersion = 2
 
-// magic self-describes entry files independent of their name.
-const magic = "coopstore"
-
-// header is the first line of an entry file: a self-describing JSON
-// envelope whose Len and SHA256 pin the payload that follows it.
-type header struct {
-	Magic   string `json:"magic"`
-	Version int    `json:"version"`
-	Key     string `json:"key"`
-	Len     int    `json:"len"`
-	SHA256  string `json:"sha256"`
-}
+// entryFormat is the wire frame family of entry files.
+var entryFormat = wire.NewFormat("coopstor", FormatVersion)
 
 // Options parameterise Open. The zero value is production defaults.
 type Options struct {
@@ -175,7 +168,7 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// Get looks key up and unmarshals the cached JSON into value,
+// Get looks key up and decodes the cached entry into value,
 // reporting whether it hit. It cannot fail: a missing entry is a miss;
 // a corrupt entry is quarantined and a miss; an I/O fault counts
 // against the degradation ladder and is a miss.
@@ -274,68 +267,28 @@ func (s *Store) get(key string, value any) (bool, error) {
 	if cerr != nil {
 		return false, cerr
 	}
-	payload, why := parseEntry(key, data)
-	switch why {
-	case "":
-	case reasonVersion, reasonAlias:
-		// Well-formed but not ours: an old format version or a hash
-		// collision. A plain miss — the next Put overwrites it.
+	err = entryFormat.Decode(data, key, value)
+	switch {
+	case err == nil:
+		return true, nil
+	case legacyEntry(data), errors.Is(err, wire.ErrVersion), errors.Is(err, wire.ErrSchema),
+		errors.Is(err, wire.ErrKey):
+		// Well-formed but not ours: another format version, another
+		// payload type, or a hash collision. A plain miss — the next
+		// Put overwrites it.
 		return false, nil
 	default:
-		s.quarantine(path, why)
+		// Corrupt (bad magic, torn, checksum) or, past a valid
+		// checksum, a payload that does not decode. Either way the
+		// entry is unusable and worth moving out of the way.
+		s.quarantine(path, err.Error())
 		return false, nil
 	}
-	if err := json.Unmarshal(payload, value); err != nil {
-		// The checksum passed, so this is a type mismatch between
-		// writer and reader, not disk corruption — but the entry is
-		// equally unusable and equally worth moving out of the way.
-		s.quarantine(path, "payload does not decode: "+err.Error())
-		return false, nil
-	}
-	return true, nil
 }
 
-const (
-	reasonVersion = "format version mismatch"
-	reasonAlias   = "key alias"
-)
-
-// parseEntry validates an entry file against the key it should hold.
-// An empty reason means payload is intact and checksummed.
-func parseEntry(key string, data []byte) (payload []byte, reason string) {
-	nl := -1
-	for i, b := range data {
-		if b == '\n' {
-			nl = i
-			break
-		}
-	}
-	if nl < 0 {
-		return nil, "no header line"
-	}
-	var h header
-	if err := json.Unmarshal(data[:nl], &h); err != nil {
-		return nil, "bad header: " + err.Error()
-	}
-	if h.Magic != magic {
-		return nil, "bad magic"
-	}
-	if h.Version != FormatVersion {
-		return nil, reasonVersion
-	}
-	if h.Key != key {
-		return nil, reasonAlias
-	}
-	payload = data[nl+1:]
-	if len(payload) != h.Len {
-		return nil, fmt.Sprintf("payload length %d, header says %d (torn write)", len(payload), h.Len)
-	}
-	sum := sha256.Sum256(payload)
-	if hex.EncodeToString(sum[:]) != h.SHA256 {
-		return nil, "checksum mismatch"
-	}
-	return payload, ""
-}
+// legacyEntry reports whether data is a FormatVersion 1 entry, whose
+// first line was a JSON header: a format mismatch, not corruption.
+func legacyEntry(data []byte) bool { return len(data) > 0 && data[0] == '{' }
 
 // quarantine moves a corrupt entry aside (recomputation then overwrites
 // the address) and counts it exactly once — the file is gone from the
@@ -411,20 +364,9 @@ func (s *Store) reapQuarantine() {
 // final entry path holds either nothing or a fully checksummed entry,
 // because the only call that makes the entry visible is the rename.
 func (s *Store) put(key string, value any) error {
-	payload, err := json.Marshal(value)
+	frame, err := entryFormat.Encode(key, value)
 	if err != nil {
 		return fmt.Errorf("store: encoding value: %w", err)
-	}
-	sum := sha256.Sum256(payload)
-	hb, err := json.Marshal(header{
-		Magic:   magic,
-		Version: FormatVersion,
-		Key:     key,
-		Len:     len(payload),
-		SHA256:  hex.EncodeToString(sum[:]),
-	})
-	if err != nil {
-		return fmt.Errorf("store: encoding header: %w", err)
 	}
 
 	name := hashName(key)
@@ -440,13 +382,7 @@ func (s *Store) put(key string, value any) error {
 	if err != nil {
 		return err
 	}
-	_, werr := f.Write(hb)
-	if werr == nil {
-		_, werr = f.Write([]byte{'\n'})
-	}
-	if werr == nil {
-		_, werr = f.Write(payload)
-	}
+	_, werr := f.Write(frame)
 	var serr error
 	if werr == nil {
 		serr = f.Sync()
@@ -493,29 +429,12 @@ func (s *Store) Verify() (valid, corrupt int, err error) {
 	return valid, corrupt, nil
 }
 
-// entryWellFormed checks structure and checksum without knowing the
-// key (Verify cannot know which key an entry should serve).
+// entryWellFormed checks an entry's frame without knowing the key
+// (Verify cannot know which key an entry should serve). Entries of
+// another format version are well-formed: Get reads them as misses.
 func entryWellFormed(data []byte) bool {
-	nl := -1
-	for i, b := range data {
-		if b == '\n' {
-			nl = i
-			break
-		}
-	}
-	if nl < 0 {
-		return false
-	}
-	var h header
-	if err := json.Unmarshal(data[:nl], &h); err != nil || h.Magic != magic {
-		return false
-	}
-	payload := data[nl+1:]
-	if len(payload) != h.Len {
-		return false
-	}
-	sum := sha256.Sum256(payload)
-	return hex.EncodeToString(sum[:]) == h.SHA256
+	_, err := entryFormat.Open(data)
+	return err == nil || errors.Is(err, wire.ErrVersion) || legacyEntry(data)
 }
 
 // sweepTmp clears temp files abandoned by dead processes (their pid is

@@ -9,6 +9,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // payload is a stand-in for sim.Results: a mix of the field shapes the
@@ -161,37 +163,76 @@ func TestCorruptEntryQuarantinedExactlyOnce(t *testing.T) {
 }
 
 // TestVersionMismatchIsMissNotCorrupt: an entry from a different format
-// version reads as a plain miss (no quarantine) and is overwritten by
-// the next Put.
+// version — a well-formed frame of a later version, or a FormatVersion
+// 1 entry with its JSON header line — reads as a plain miss (no
+// quarantine) and is overwritten by the next Put.
 func TestVersionMismatchIsMissNotCorrupt(t *testing.T) {
-	dir := t.TempDir()
-	s := openTest(t, dir, testOptions(t))
-	s.Put("k1", samplePayload())
-
-	path := findEntry(t, dir)
-	data, err := os.ReadFile(path)
+	future, err := wire.NewFormat("coopstor", 99).Encode("k1", samplePayload())
 	if err != nil {
 		t.Fatal(err)
 	}
-	mutated := strings.Replace(string(data), `"version":1`, `"version":99`, 1)
-	if mutated == string(data) {
-		t.Fatal("test could not find version field to mutate")
+	legacy := []byte(`{"magic":"coopstore","version":1,"key":"k1","len":2,"sha256":"44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a"}` + "\n{}")
+	for name, entry := range map[string][]byte{"future-frame": future, "v1-json": legacy} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := openTest(t, dir, testOptions(t))
+			s.Put("k1", samplePayload())
+			if err := os.WriteFile(findEntry(t, dir), entry, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			s2 := openTest(t, dir, testOptions(t))
+			if valid, corrupt, err := s2.Verify(); err != nil || valid != 1 || corrupt != 0 {
+				t.Fatalf("Verify = %d valid, %d corrupt, %v; want the entry well-formed", valid, corrupt, err)
+			}
+			var got payload
+			if s2.Get("k1", &got) {
+				t.Fatal("other-version entry served as a hit")
+			}
+			if st := s2.Stats(); st.CorruptQuarantined != 0 {
+				t.Fatalf("version mismatch quarantined: %v", st)
+			}
+			s2.Put("k1", samplePayload())
+			if !s2.Get("k1", &got) {
+				t.Fatal("overwrite after version mismatch did not take")
+			}
+		})
 	}
-	if err := os.WriteFile(path, []byte(mutated), 0o644); err != nil {
+}
+
+// TestForeignFrameIsMiss: a checksummed entry holding another key (a
+// hash alias) or another payload type (a reader whose type changed
+// shape) is a plain miss, not corruption, and the next Put repairs it.
+func TestForeignFrameIsMiss(t *testing.T) {
+	type otherType struct{ Name string }
+	alias, err := entryFormat.Encode("k2", samplePayload())
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	s2 := openTest(t, dir, testOptions(t))
-	var got payload
-	if s2.Get("k1", &got) {
-		t.Fatal("future-version entry served as a hit")
+	other, err := entryFormat.Encode("k1", otherType{Name: "x"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st := s2.Stats(); st.CorruptQuarantined != 0 {
-		t.Fatalf("version mismatch quarantined: %v", st)
-	}
-	s2.Put("k1", samplePayload())
-	if !s2.Get("k1", &got) {
-		t.Fatal("overwrite after version mismatch did not take")
+	for name, entry := range map[string][]byte{"key-alias": alias, "other-schema": other} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := openTest(t, dir, testOptions(t))
+			s.Put("k1", samplePayload())
+			if err := os.WriteFile(findEntry(t, dir), entry, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var got payload
+			if s.Get("k1", &got) {
+				t.Fatal("foreign entry served as a hit")
+			}
+			if st := s.Stats(); st.CorruptQuarantined != 0 || st.Faults != 0 {
+				t.Fatalf("foreign entry counted as corrupt or faulty: %v", st)
+			}
+			s.Put("k1", samplePayload())
+			if !s.Get("k1", &got) || !reflect.DeepEqual(got, samplePayload()) {
+				t.Fatal("Put did not repair the address")
+			}
+		})
 	}
 }
 
@@ -205,9 +246,9 @@ func TestWriteFaultDegradesGracefully(t *testing.T) {
 	opts.FS = ffs
 	s := openTest(t, dir, opts)
 
-	// Write op 1 is the lockfile, 2-4 are header/newline/payload: land
-	// the ENOSPC on the payload write.
-	ffs.FailOp(OpWrite, 4, syscall.ENOSPC)
+	// Write op 1 is the lockfile, 2 is the entry frame: land the
+	// ENOSPC on the frame write.
+	ffs.FailOp(OpWrite, 2, syscall.ENOSPC)
 	s.Put("k1", samplePayload())
 	st := s.Stats()
 	if st.Writes != 0 || st.WriteSkips != 1 || st.Faults != 1 {

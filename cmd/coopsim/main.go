@@ -5,17 +5,12 @@
 //
 // Usage:
 //
-//	coopsim -group G2-8 -scheme CoopPart [-threshold 0.05]
-//	        [-scale test|full] [-seed 1] [-compare] [-workers N]
-//	        [-fidelity exact|fastforward|set-sampled] [-sample-sets K]
-//	        [-cache-dir DIR] [-server URL]
-//	        [-checkpoint-dir DIR] [-checkpoint-every N]
-//	        [-cpuprofile cpu.out] [-memprofile mem.out]
+//	coopsim [-group G2-8] [-scheme CoopPart] [-compare] [shared flags]
 //
+// The shared flags are documented in internal/cliutil; coopsim takes
+// all of them, -seed, -fidelity, -threshold and the profiles included.
 // With -compare, all five schemes run on the group and a comparison
-// table is printed. The -cpuprofile/-memprofile flags write pprof
-// profiles of the run, so perf work can profile a single simulation
-// (`go tool pprof cpu.out`) without editing code.
+// table is printed.
 package main
 
 import (
@@ -26,113 +21,40 @@ import (
 
 	"repro/internal/cliutil"
 	"repro/internal/experiments"
-	"repro/internal/prof"
-	"repro/internal/service"
 	"repro/internal/sim"
-	"repro/internal/store"
 	"repro/internal/workload"
 )
 
 func main() {
+	env := cliutil.New("coopsim", cliutil.Flags{Seed: true, Fidelity: true, Threshold: true, Profiling: true})
 	group := flag.String("group", "G2-8", "workload group from Table 4 (G2-1..G2-14, G4-1..G4-14)")
 	scheme := flag.String("scheme", "CoopPart",
 		"LLC scheme: Unmanaged, FairShare, DynCPE, UCP or CoopPart")
-	threshold := flag.Float64("threshold", experiments.DefaultThreshold,
-		"Cooperative Partitioning takeover threshold T (0..1)")
-	scaleName := flag.String("scale", "test", "simulation scale: unit, test or full")
-	seed := flag.Uint64("seed", 1, "workload seed")
 	compare := flag.Bool("compare", false, "run every scheme and print a comparison")
-	workers := flag.Int("workers", cliutil.DefaultWorkers(),
-		"concurrent simulations (default: one per CPU)")
-	fidelity := flag.String("fidelity", "exact",
-		"simulation tier: exact (bit-identical, default), fastforward or set-sampled (statistical, validated by cmd/tiercheck)")
-	sampleSets := flag.Int("sample-sets", 0,
-		"LLC set-sampling ratio K for -fidelity=set-sampled: model 1 in K sets (power of two; 0 = default)")
-	server := flag.String("server", "",
-		"expd server URL to fetch results from (empty = compute locally)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memprofile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
-	cacheDir := flag.String("cache-dir", "",
-		"persistent result cache directory shared across runs and processes (empty = in-memory only)")
-	ckptDir := flag.String("checkpoint-dir", "",
-		"checkpoint directory: warm-up prefixes and mid-run state persist here, and a rerun resumes from the last valid checkpoint (empty = in-memory warm-up sharing only)")
-	ckptEvery := flag.Int64("checkpoint-every", 0,
-		"measured instructions between mid-run checkpoints (0 = warm-up checkpoints only; requires -checkpoint-dir)")
-	flag.Parse()
-
-	stopProf, err := prof.Start(*cpuprofile, *memprofile)
-	if err != nil {
-		fatal(err)
-	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fatal(err)
-		}
-	}()
-
+	cfg := env.Parse()
 	g, err := workload.FindGroup(*group)
 	if err != nil {
-		fatal(err)
+		env.Fatal(err)
 	}
-	scale, err := cliutil.Scale(*scaleName)
-	if err != nil {
-		fatal(err)
-	}
-	fid, err := cliutil.Fidelity(*fidelity)
-	if err != nil {
-		fatal(err)
-	}
-	scale.SampleStride, err = cliutil.SampleSets(*sampleSets, fid)
-	if err != nil {
-		fatal(err)
-	}
-	nw, err := cliutil.Workers(*workers)
-	if err != nil {
-		fatal(err)
-	}
-	th, err := cliutil.Threshold(*threshold)
-	if err != nil {
-		fatal(err)
-	}
-	every, err := cliutil.Checkpointing(*ckptDir, *ckptEvery)
-	if err != nil {
-		fatal(err)
-	}
-	if _, err := cliutil.CacheDir(*cacheDir); err != nil {
-		fatal(err)
-	}
-	st := store.OpenCLI(*cacheDir, "coopsim")
-	defer st.ReportStats("coopsim")
-	ckpts, ckptStore := cliutil.OpenCheckpoints(*ckptDir, every, "coopsim")
-	defer ckpts.ReportStats("coopsim")
-	defer ckptStore.ReportStats("coopsim: checkpoints")
-	defer store.HandleSignals("coopsim", st, ckptStore)()
-	cl, err := service.OpenCLI(*server, "coopsim")
-	if err != nil {
-		fatal(err)
-	}
-	defer cl.ReportStats("coopsim")
-	cfg := experiments.Config{
-		Scale: scale, Seed: *seed, Threshold: th, Workers: nw, Fidelity: fid,
-		Store: st, Checkpoints: ckpts,
-	}
-	if cl != nil {
-		cfg.Remote = cl
-	}
+	env.Open(&cfg)
+	defer env.Close()
 	runner := experiments.NewRunner(cfg)
 
 	if *compare {
-		compareAll(runner, g)
-		return
+		err = compareAll(runner, g)
+	} else {
+		err = report(runner, g, sim.SchemeKind(*scheme))
 	}
-	res, err := runner.RunGroup(g, sim.SchemeKind(*scheme))
 	if err != nil {
-		fatal(err)
+		env.Fatal(err)
 	}
-	report(runner, res)
 }
 
-func report(r *experiments.Runner, res *sim.Results) {
+func report(r *experiments.Runner, g workload.Group, scheme sim.SchemeKind) error {
+	res, err := r.RunGroup(g, scheme)
+	if err != nil {
+		return err
+	}
 	fmt.Printf("scheme %s on %s (%v)\n", res.Scheme, res.Group, res.Benchmarks)
 	if res.Fidelity != sim.FidelityExact {
 		fmt.Printf("fidelity %s (statistical tier, not byte-comparable to exact runs)\n", res.Fidelity)
@@ -159,42 +81,38 @@ func report(r *experiments.Runner, res *sim.Results) {
 		fmt.Printf("way transfers: %d completed (%d ways), avg %.0f cycles/way, %d lines flushed\n",
 			tr.Completed, tr.WaysMoved, tr.AvgTransferCycles(), tr.FlushedLines)
 	}
+	return nil
 }
 
-func compareAll(r *experiments.Runner, g workload.Group) {
+func compareAll(r *experiments.Runner, g workload.Group) error {
 	fmt.Printf("comparison on %s (%v), normalised to FairShare\n\n", g.Name, g.Benchmarks)
 	// All five scheme runs (and the solo runs weighted speedup needs)
 	// are independent: warm them concurrently, then collect.
 	if err := r.PrefetchSpeedup([]workload.Group{g}, sim.AllSchemes); err != nil {
-		fatal(err)
+		return err
 	}
 	fair, err := r.RunGroup(g, sim.FairShare)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fairWS, err := r.WeightedSpeedup(fair)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "scheme\tweighted speedup\tdynamic energy\tstatic power\tways/access\tallocation")
 	for _, kind := range sim.AllSchemes {
 		res, err := r.RunGroup(g, kind)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		ws, err := r.WeightedSpeedup(res)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Fprintf(w, "%s\t%.3f\t%.3f\t%.3f\t%.2f\t%v\n",
 			res.Scheme, ws/fairWS, res.Dynamic/fair.Dynamic,
 			res.StaticPower/fair.StaticPower, res.AvgWaysConsulted, res.Allocations)
 	}
-	w.Flush()
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "coopsim:", err)
-	os.Exit(1)
+	return w.Flush()
 }

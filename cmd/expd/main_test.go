@@ -13,17 +13,6 @@ import (
 	"time"
 )
 
-// buildBinary compiles one of the repo's commands into dir.
-func buildBinary(t *testing.T, dir, pkg, name string) string {
-	t.Helper()
-	bin := filepath.Join(dir, name)
-	cmd := exec.Command("go", "build", "-o", bin, pkg)
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go build %s: %v\n%s", pkg, err, out)
-	}
-	return bin
-}
-
 // startExpd launches a real expd on a free port and waits for
 // readiness. It returns the base URL and the running process.
 func startExpd(t *testing.T, bin, cacheDir string, extra ...string) (string, *exec.Cmd) {
@@ -80,9 +69,7 @@ func TestServiceEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs real server and client processes")
 	}
-	binDir := t.TempDir()
-	expd := buildBinary(t, binDir, "repro/cmd/expd", "expd")
-	figures := buildBinary(t, binDir, "repro/cmd/figures", "figures")
+	expd, figures := binary(t, "expd"), binary(t, "figures")
 	args := []string{"-fig", "5", "-scale", "unit"}
 
 	baseline, _, err := runClient(figures, args...)
@@ -166,8 +153,7 @@ func TestCheckpointResumeEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and kills real figure-sweep processes")
 	}
-	binDir := t.TempDir()
-	figures := buildBinary(t, binDir, "repro/cmd/figures", "figures")
+	figures := binary(t, "figures")
 	args := []string{"-fig", "5", "-scale", "unit"}
 
 	baseline, _, err := runClient(figures, args...)
@@ -219,9 +205,7 @@ func TestExpdGracefulDrain(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the daemon")
 	}
-	binDir := t.TempDir()
-	expd := buildBinary(t, binDir, "repro/cmd/expd", "expd")
-	figures := buildBinary(t, binDir, "repro/cmd/figures", "figures")
+	expd, figures := binary(t, "expd"), binary(t, "figures")
 	cacheDir := filepath.Join(t.TempDir(), "cache")
 	base, srv := startExpd(t, expd, cacheDir)
 
@@ -248,103 +232,4 @@ func TestExpdGracefulDrain(t *testing.T) {
 	if err == nil && len(locks) != 0 {
 		t.Fatalf("drained expd left lockfiles: %v", locks)
 	}
-}
-
-// TestFlagValidationFailsFast: every binary rejects nonsensical
-// -workers/-scale/-fidelity/-server values with a non-zero exit and a
-// message naming the problem, before any simulation starts.
-func TestFlagValidationFailsFast(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds the client binaries")
-	}
-	binDir := t.TempDir()
-	bins := map[string]string{
-		"figures":   "repro/cmd/figures",
-		"tables":    "repro/cmd/tables",
-		"report":    "repro/cmd/report",
-		"coopsim":   "repro/cmd/coopsim",
-		"tiercheck": "repro/cmd/tiercheck",
-	}
-	cases := []struct {
-		name string
-		args []string
-		want string
-	}{
-		{"workers-zero", []string{"-workers", "0"}, "-workers"},
-		{"workers-negative", []string{"-workers", "-3"}, "-workers"},
-		{"bad-scale", []string{"-scale", "galactic"}, "unknown scale"},
-		{"bad-server", []string{"-server", ":not a url:"}, "URL"},
-		{"ckpt-every-negative", []string{"-checkpoint-every", "-1"}, "-checkpoint-every"},
-		{"ckpt-every-without-dir", []string{"-checkpoint-every", "1000"}, "-checkpoint-dir"},
-	}
-	for name, pkg := range bins {
-		bin := buildBinary(t, binDir, pkg, name)
-		for _, tc := range cases {
-			t.Run(name+"/"+tc.name, func(t *testing.T) {
-				args := tc.args
-				if name == "report" {
-					args = append(args, "-out", t.TempDir())
-				}
-				start := time.Now()
-				_, errOut, err := runClient(bin, args...)
-				if err == nil {
-					t.Fatalf("%s %v exited zero", name, tc.args)
-				}
-				if !strings.Contains(string(errOut), tc.want) {
-					t.Fatalf("%s %v stderr %q does not mention %q", name, tc.args, errOut, tc.want)
-				}
-				if took := time.Since(start); took > 10*time.Second {
-					t.Fatalf("%s %v took %v; validation must fail fast", name, tc.args, took)
-				}
-			})
-		}
-	}
-	// The two binaries with a -fidelity flag reject garbage tiers.
-	for _, name := range []string{"figures", "report", "coopsim"} {
-		t.Run(name+"/bad-fidelity", func(t *testing.T) {
-			bin := filepath.Join(binDir, name)
-			_, errOut, err := runClient(bin, "-fidelity", "approximate")
-			if err == nil {
-				t.Fatalf("%s -fidelity=approximate exited zero", name)
-			}
-			if !strings.Contains(strings.ToLower(string(errOut)), "fidelity") {
-				t.Fatalf("%s stderr %q does not mention fidelity", name, errOut)
-			}
-		})
-	}
-	// expd itself validates too.
-	expd := buildBinary(t, binDir, "repro/cmd/expd", "expd")
-	t.Run("expd/workers-zero", func(t *testing.T) {
-		_, errOut, err := runClient(expd, "-workers", "0")
-		if err == nil {
-			t.Fatal("expd -workers=0 exited zero")
-		}
-		if !strings.Contains(string(errOut), "-workers") {
-			t.Fatalf("expd stderr %q does not mention -workers", errOut)
-		}
-	})
-	t.Run("expd/bad-addr", func(t *testing.T) {
-		_, _, err := runClient(expd, "-addr", "999.999.999.999:0")
-		if err == nil {
-			t.Fatal("expd with bogus -addr exited zero")
-		}
-	})
-	t.Run("expd/ckpt-every-negative", func(t *testing.T) {
-		_, errOut, err := runClient(expd, "-checkpoint-every", "-1")
-		if err == nil {
-			t.Fatal("expd -checkpoint-every=-1 exited zero")
-		}
-		if !strings.Contains(string(errOut), "-checkpoint-every") {
-			t.Fatalf("expd stderr %q does not mention -checkpoint-every", errOut)
-		}
-	})
-	t.Run("expd/ckpt-every-without-dir", func(t *testing.T) {
-		_, errOut, err := runClient(expd, "-checkpoint-every", "1000")
-		if err == nil {
-			t.Fatal("expd -checkpoint-every without -checkpoint-dir exited zero")
-		}
-		if !strings.Contains(string(errOut), "-checkpoint-dir") {
-			t.Fatalf("expd stderr %q does not mention -checkpoint-dir", errOut)
-		}
-	})
 }

@@ -5,16 +5,16 @@
 //
 // Usage:
 //
-//	report [-out report] [-scale test|full] [-seed 1] [-workers N]
-//	       [-fidelity exact|fastforward|set-sampled] [-sample-sets K]
-//	       [-cache-dir DIR] [-server URL]
-//	       [-checkpoint-dir DIR] [-checkpoint-every N]
-//	       [-cpuprofile cpu.out] [-memprofile mem.out]
+//	report [-out report] [shared flags]
+//
+// The shared flags are documented in internal/cliutil; report takes
+// -seed, -fidelity and the profiles but not -threshold.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -22,122 +22,58 @@ import (
 	"repro/internal/cliutil"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
-	"repro/internal/prof"
-	"repro/internal/service"
 	"repro/internal/sim"
-	"repro/internal/store"
 )
 
 func main() {
+	env := cliutil.New("report", cliutil.Flags{Seed: true, Fidelity: true, Profiling: true})
 	out := flag.String("out", "report", "output directory")
-	scaleName := flag.String("scale", "test", "simulation scale: unit, test or full")
-	seed := flag.Uint64("seed", 1, "workload seed")
-	workers := flag.Int("workers", cliutil.DefaultWorkers(),
-		"concurrent simulations (default: one per CPU)")
-	fidelity := flag.String("fidelity", "exact",
-		"simulation tier: exact (bit-identical, default), fastforward or set-sampled (statistical, validated by cmd/tiercheck)")
-	sampleSets := flag.Int("sample-sets", 0,
-		"LLC set-sampling ratio K for -fidelity=set-sampled: model 1 in K sets (power of two; 0 = default)")
-	server := flag.String("server", "",
-		"expd server URL to fetch results from (empty = compute locally)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memprofile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
-	cacheDir := flag.String("cache-dir", "",
-		"persistent result cache directory shared across runs and processes (empty = in-memory only)")
-	ckptDir := flag.String("checkpoint-dir", "",
-		"checkpoint directory: warm-up prefixes and mid-run state persist here, and a rerun resumes from the last valid checkpoint (empty = in-memory warm-up sharing only)")
-	ckptEvery := flag.Int64("checkpoint-every", 0,
-		"measured instructions between mid-run checkpoints (0 = warm-up checkpoints only; requires -checkpoint-dir)")
-	flag.Parse()
+	cfg := env.Parse()
+	env.Open(&cfg)
+	defer env.Close()
+	if err := run(experiments.NewRunner(cfg), cfg, *out); err != nil {
+		env.Fatal(err)
+	}
+	fmt.Printf("report written to %s\n", filepath.Join(*out, "report.md"))
+}
 
-	stopProf, err := prof.Start(*cpuprofile, *memprofile)
+func run(r *experiments.Runner, cfg experiments.Config, out string) error {
+	if err := os.MkdirAll(out, 0o755); err != nil {
+		return err
+	}
+	md, err := os.Create(filepath.Join(out, "report.md"))
 	if err != nil {
-		fatal(err)
-	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fatal(err)
-		}
-	}()
-
-	scale, err := cliutil.Scale(*scaleName)
-	if err != nil {
-		fatal(err)
-	}
-	fid, err := cliutil.Fidelity(*fidelity)
-	if err != nil {
-		fatal(err)
-	}
-	scale.SampleStride, err = cliutil.SampleSets(*sampleSets, fid)
-	if err != nil {
-		fatal(err)
-	}
-	nw, err := cliutil.Workers(*workers)
-	if err != nil {
-		fatal(err)
-	}
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		fatal(err)
-	}
-	every, err := cliutil.Checkpointing(*ckptDir, *ckptEvery)
-	if err != nil {
-		fatal(err)
-	}
-	if _, err := cliutil.CacheDir(*cacheDir); err != nil {
-		fatal(err)
-	}
-	st := store.OpenCLI(*cacheDir, "report")
-	defer st.ReportStats("report")
-	ckpts, ckptStore := cliutil.OpenCheckpoints(*ckptDir, every, "report")
-	defer ckpts.ReportStats("report")
-	defer ckptStore.ReportStats("report: checkpoints")
-	defer store.HandleSignals("report", st, ckptStore)()
-	cl, err := service.OpenCLI(*server, "report")
-	if err != nil {
-		fatal(err)
-	}
-	defer cl.ReportStats("report")
-	cfg := experiments.Config{
-		Scale: scale, Seed: *seed, Workers: nw, Fidelity: fid,
-		Store: st, Checkpoints: ckpts,
-	}
-	if cl != nil {
-		cfg.Remote = cl
-	}
-	r := experiments.NewRunner(cfg)
-
-	md, err := os.Create(filepath.Join(*out, "report.md"))
-	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer md.Close()
 
 	fmt.Fprintf(md, "# Cooperative Partitioning — regenerated evaluation\n\n")
 	fmt.Fprintf(md, "scale: %s, seed: %d, generated: %s\n\n",
-		scale.Name, *seed, time.Now().Format(time.RFC3339))
-	if fid != sim.FidelityExact {
+		cfg.Scale.Name, cfg.Seed, time.Now().Format(time.RFC3339))
+	if cfg.Fidelity != sim.FidelityExact {
 		fmt.Fprintf(md, "**fidelity: %s** — statistical RNG-walk tier, not byte-comparable "+
-			"to exact-tier reports (see cmd/tiercheck for the equivalence contract)\n\n", fid)
+			"to exact-tier reports (see cmd/tiercheck for the equivalence contract)\n\n", cfg.Fidelity)
 	}
 
 	// Tables.
 	fmt.Fprintf(md, "## Tables\n\n```\n")
-	if err := r.Table1(md); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintln(md)
-	if err := r.Table2(md); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintln(md)
-	rows, err := r.Table3()
-	if err != nil {
-		fatal(err)
-	}
-	experiments.WriteTable3(md, rows)
-	fmt.Fprintln(md)
-	if err := r.Table4(md); err != nil {
-		fatal(err)
+	for i, table := range []func(io.Writer) error{
+		r.Table1, r.Table2,
+		func(w io.Writer) error {
+			rows, err := r.Table3()
+			if err == nil {
+				experiments.WriteTable3(w, rows)
+			}
+			return err
+		},
+		r.Table4,
+	} {
+		if i > 0 {
+			fmt.Fprintln(md)
+		}
+		if err := table(md); err != nil {
+			return err
+		}
 	}
 	fmt.Fprintf(md, "```\n\n")
 
@@ -146,9 +82,11 @@ func main() {
 	for n := 5; n <= 16; n++ {
 		fig, err := r.Figure(n)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		writeFigure(md, *out, fig)
+		if err := writeFigure(md, out, fig); err != nil {
+			return err
+		}
 		fmt.Fprintf(os.Stderr, "report: figure %d done\n", n)
 	}
 
@@ -160,9 +98,11 @@ func main() {
 	} {
 		fig, err := gen()
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		writeFigure(md, *out, fig)
+		if err := writeFigure(md, out, fig); err != nil {
+			return err
+		}
 		fmt.Fprintf(os.Stderr, "report: %s done\n", fig.ID)
 	}
 
@@ -172,16 +112,18 @@ func main() {
 	fmt.Fprintf(md, "## Scaling sweep\n\n")
 	sweepFigs, err := r.ScalingSweep(nil, 2)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	for _, fig := range sweepFigs {
-		writeFigure(md, *out, fig)
+		if err := writeFigure(md, out, fig); err != nil {
+			return err
+		}
 		fmt.Fprintf(os.Stderr, "report: %s done\n", fig.ID)
 	}
 
 	hr, err := r.Headroom()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Fprintf(md, "## TDP headroom (paper conclusion)\n\n```\n")
 	fmt.Fprintf(md, "%-8s %14s %12s\n", "group", "chip saving", "freq uplift")
@@ -190,27 +132,22 @@ func main() {
 			row.Group, 100*row.SavedFraction, 100*row.FreqUplift)
 	}
 	fmt.Fprintf(md, "```\n")
-
-	fmt.Printf("report written to %s\n", filepath.Join(*out, "report.md"))
+	return md.Close()
 }
 
-func writeFigure(md *os.File, dir string, fig metrics.Figure) {
+func writeFigure(md io.Writer, dir string, fig metrics.Figure) error {
 	fmt.Fprintf(md, "### %s\n\n```\n", fig.ID)
 	if err := fig.WriteTable(md); err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Fprintf(md, "```\n\n")
 	csv, err := os.Create(filepath.Join(dir, fig.ID+".csv"))
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	defer csv.Close()
 	if err := fig.WriteCSV(csv); err != nil {
-		fatal(err)
+		csv.Close()
+		return err
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "report:", err)
-	os.Exit(1)
+	return csv.Close()
 }

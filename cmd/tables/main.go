@@ -2,11 +2,10 @@
 //
 // Usage:
 //
-//	tables [-table N] [-scale test|full] [-seed N] [-workers N]
-//	       [-fidelity exact|fastforward|set-sampled] [-sample-sets K]
-//	       [-cache-dir DIR] [-server URL]
-//	       [-checkpoint-dir DIR] [-checkpoint-every N]
+//	tables [-table N] [shared flags]
 //
+// The shared flags are documented in internal/cliutil; tables takes
+// -seed and -fidelity but neither -threshold nor the profiles.
 // Without -table, all four tables are printed.
 package main
 
@@ -17,68 +16,14 @@ import (
 
 	"repro/internal/cliutil"
 	"repro/internal/experiments"
-	"repro/internal/service"
-	"repro/internal/store"
 )
 
 func main() {
+	env := cliutil.New("tables", cliutil.Flags{Seed: true, Fidelity: true})
 	table := flag.Int("table", 0, "table number (1-4; 0 = all)")
-	scale := flag.String("scale", "test", "simulation scale: unit, test or full")
-	seed := flag.Uint64("seed", 1, "workload seed")
-	workers := flag.Int("workers", cliutil.DefaultWorkers(),
-		"concurrent simulations (default: one per CPU)")
-	fidelity := flag.String("fidelity", "exact",
-		"simulation tier: exact (bit-identical, default), fastforward or set-sampled (statistical, validated by cmd/tiercheck)")
-	sampleSets := flag.Int("sample-sets", 0,
-		"LLC set-sampling ratio K for -fidelity=set-sampled: model 1 in K sets (power of two; 0 = default)")
-	cacheDir := flag.String("cache-dir", "",
-		"persistent result cache directory shared across runs and processes (empty = in-memory only)")
-	server := flag.String("server", "",
-		"expd server URL to fetch results from (empty = compute locally)")
-	ckptDir := flag.String("checkpoint-dir", "",
-		"checkpoint directory: warm-up prefixes and mid-run state persist here, and a rerun resumes from the last valid checkpoint (empty = in-memory warm-up sharing only)")
-	ckptEvery := flag.Int64("checkpoint-every", 0,
-		"measured instructions between mid-run checkpoints (0 = warm-up checkpoints only; requires -checkpoint-dir)")
-	flag.Parse()
-
-	sc, err := cliutil.Scale(*scale)
-	if err != nil {
-		fatal(err)
-	}
-	nw, err := cliutil.Workers(*workers)
-	if err != nil {
-		fatal(err)
-	}
-	fid, err := cliutil.Fidelity(*fidelity)
-	if err != nil {
-		fatal(err)
-	}
-	sc.SampleStride, err = cliutil.SampleSets(*sampleSets, fid)
-	if err != nil {
-		fatal(err)
-	}
-	every, err := cliutil.Checkpointing(*ckptDir, *ckptEvery)
-	if err != nil {
-		fatal(err)
-	}
-	if _, err := cliutil.CacheDir(*cacheDir); err != nil {
-		fatal(err)
-	}
-	st := store.OpenCLI(*cacheDir, "tables")
-	defer st.ReportStats("tables")
-	ckpts, ckptStore := cliutil.OpenCheckpoints(*ckptDir, every, "tables")
-	defer ckpts.ReportStats("tables")
-	defer ckptStore.ReportStats("tables: checkpoints")
-	defer store.HandleSignals("tables", st, ckptStore)()
-	cl, err := service.OpenCLI(*server, "tables")
-	if err != nil {
-		fatal(err)
-	}
-	defer cl.ReportStats("tables")
-	cfg := experiments.Config{Scale: sc, Seed: *seed, Workers: nw, Fidelity: fid, Store: st, Checkpoints: ckpts}
-	if cl != nil {
-		cfg.Remote = cl
-	}
+	cfg := env.Parse()
+	env.Open(&cfg)
+	defer env.Close()
 	r := experiments.NewRunner(cfg)
 
 	run := func(n int) error {
@@ -103,19 +48,14 @@ func main() {
 
 	if *table != 0 {
 		if err := run(*table); err != nil {
-			fatal(err)
+			env.Fatal(err)
 		}
 		return
 	}
 	for n := 1; n <= 4; n++ {
 		if err := run(n); err != nil {
-			fatal(err)
+			env.Fatal(err)
 		}
 		fmt.Println()
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tables:", err)
-	os.Exit(1)
 }

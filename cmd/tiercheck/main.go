@@ -10,12 +10,14 @@
 //
 // Usage:
 //
-//	tiercheck [-scale unit|test|full] [-seeds 5] [-seed-base 1]
-//	          [-fidelity all|fastforward|set-sampled] [-sample-sets K]
-//	          [-groups N] [-threshold T] [-gap-fraction 0.5]
-//	          [-gap-floor 0.02] [-workers N] [-json report.json]
-//	          [-cache-dir DIR] [-server URL]
-//	          [-checkpoint-dir DIR] [-checkpoint-every N]
+//	tiercheck [-seeds 5] [-seed-base 1] [-fidelity all|fastforward|set-sampled]
+//	          [-groups N] [-gap-fraction 0.5] [-gap-floor 0.02]
+//	          [-json report.json] [shared flags]
+//
+// The shared flags are documented in internal/cliutil; tiercheck takes
+// -threshold but not the profiles, and its own -seeds/-seed-base and
+// -fidelity (the tiers under test) replace -seed and the one-tier
+// -fidelity.
 package main
 
 import (
@@ -25,140 +27,86 @@ import (
 
 	"repro/internal/cliutil"
 	"repro/internal/experiments"
-	"repro/internal/service"
 	"repro/internal/sim"
-	"repro/internal/store"
 )
 
 func main() {
-	scaleName := flag.String("scale", "test", "simulation scale: unit, test or full")
+	env := cliutil.New("tiercheck", cliutil.Flags{Threshold: true})
 	seeds := flag.Int("seeds", 5, "number of seeds in the sweep")
 	seedBase := flag.Uint64("seed-base", 1, "first seed of the sweep")
 	fidelity := flag.String("fidelity", "all",
 		"statistical tier(s) to validate against exact: all, fastforward or set-sampled")
-	sampleSets := flag.Int("sample-sets", 0,
-		"LLC set-sampling ratio K for the set-sampled tier (power of two; 0 = default)")
 	groups := flag.Int("groups", 0, "two-core groups per figure (0 = all)")
-	threshold := flag.Float64("threshold", experiments.DefaultThreshold,
-		"Cooperative Partitioning takeover threshold T")
 	gapFraction := flag.Float64("gap-fraction", experiments.DefaultGapFraction,
 		"pass when max tier delta <= gap-fraction * min between-scheme gap")
 	gapFloor := flag.Float64("gap-floor", experiments.DefaultGapFloor,
 		"scheme pairs closer than this are near-ties excluded from the gap")
-	workers := flag.Int("workers", cliutil.DefaultWorkers(),
-		"concurrent simulations (default: one per CPU)")
 	jsonOut := flag.String("json", "", "also write the machine-readable report to this file")
-	cacheDir := flag.String("cache-dir", "",
-		"persistent result cache directory shared across runs and processes (empty = in-memory only)")
-	server := flag.String("server", "",
-		"expd server URL to fetch results from (empty = compute locally)")
-	ckptDir := flag.String("checkpoint-dir", "",
-		"checkpoint directory: warm-up prefixes and mid-run state persist here, and a rerun resumes from the last valid checkpoint (empty = in-memory warm-up sharing only)")
-	ckptEvery := flag.Int64("checkpoint-every", 0,
-		"measured instructions between mid-run checkpoints (0 = warm-up checkpoints only; requires -checkpoint-dir)")
-	flag.Parse()
+	cfg := env.Parse()
 
-	scale, err := cliutil.Scale(*scaleName)
-	if err != nil {
-		fatal(err)
-	}
-	nw, err := cliutil.Workers(*workers)
-	if err != nil {
-		fatal(err)
-	}
-	th, err := cliutil.Threshold(*threshold)
-	if err != nil {
-		fatal(err)
-	}
 	if *seeds <= 0 {
-		fatal(fmt.Errorf("-seeds must be positive, got %d", *seeds))
+		env.Fatal(fmt.Errorf("-seeds must be positive, got %d", *seeds))
 	}
 	sweep := make([]uint64, *seeds)
 	for i := range sweep {
 		sweep[i] = *seedBase + uint64(i)
 	}
-	var tiers []sim.Fidelity
+	// -sample-sets is meaningful whenever the sweep includes the
+	// set-sampled tier (always, except -fidelity=fastforward).
+	var tiers []sim.Fidelity // nil: ValidateTiers' default, every statistical tier
+	strideFid := sim.FidelitySetSampled
 	switch *fidelity {
 	case "all":
-		tiers = nil // ValidateTiers default: every statistical tier
 	case "fastforward":
 		tiers = []sim.Fidelity{sim.FidelityFastForward}
+		strideFid = sim.FidelityFastForward
 	case "set-sampled":
 		tiers = []sim.Fidelity{sim.FidelitySetSampled}
 	default:
-		fatal(fmt.Errorf("unknown -fidelity=%q (all, fastforward or set-sampled)", *fidelity))
+		env.Fatal(fmt.Errorf("unknown -fidelity=%q (all, fastforward or set-sampled)", *fidelity))
 	}
-	// -sample-sets is meaningful whenever the sweep includes the
-	// set-sampled tier (always, except -fidelity=fastforward).
-	strideFid := sim.FidelitySetSampled
-	if *fidelity == "fastforward" {
-		strideFid = sim.FidelityFastForward
+	var err error
+	if cfg.Scale.SampleStride, err = cliutil.SampleSets(cfg.Scale.SampleStride, strideFid); err != nil {
+		env.Fatal(err)
 	}
-	scale.SampleStride, err = cliutil.SampleSets(*sampleSets, strideFid)
-	if err != nil {
-		fatal(err)
-	}
+	env.Open(&cfg)
+	defer env.Close()
 
-	every, err := cliutil.Checkpointing(*ckptDir, *ckptEvery)
-	if err != nil {
-		fatal(err)
-	}
-	if _, err := cliutil.CacheDir(*cacheDir); err != nil {
-		fatal(err)
-	}
-	st := store.OpenCLI(*cacheDir, "tiercheck")
-	ckpts, ckptStore := cliutil.OpenCheckpoints(*ckptDir, every, "tiercheck")
-	stopSignals := store.HandleSignals("tiercheck", st, ckptStore)
-	defer stopSignals()
-	cl, err := service.OpenCLI(*server, "tiercheck")
-	if err != nil {
-		fatal(err)
-	}
-	defer cl.ReportStats("tiercheck")
-	cfg := experiments.TierCheckConfig{
-		Scale:       scale,
+	report, err := experiments.ValidateTiers(experiments.TierCheckConfig{
+		Scale:       cfg.Scale,
 		Tiers:       tiers,
 		Seeds:       sweep,
-		Threshold:   th,
-		Workers:     nw,
+		Threshold:   cfg.Threshold,
+		Workers:     cfg.Workers,
 		MaxGroups:   *groups,
 		GapFraction: *gapFraction,
 		GapFloor:    *gapFloor,
-		Store:       st,
-		Checkpoints: ckpts,
+		Store:       cfg.Store,
+		Remote:      cfg.Remote,
+		Checkpoints: cfg.Checkpoints,
+	})
+	if err == nil {
+		err = report.WriteTable(os.Stdout)
 	}
-	if cl != nil {
-		cfg.Remote = cl
+	if err == nil && *jsonOut != "" {
+		err = writeJSON(report, *jsonOut)
 	}
-	report, err := experiments.ValidateTiers(cfg)
-	st.ReportStats("tiercheck")
-	ckpts.ReportStats("tiercheck")
-	ckptStore.ReportStats("tiercheck: checkpoints")
 	if err != nil {
-		fatal(err)
-	}
-	if err := report.WriteTable(os.Stdout); err != nil {
-		fatal(err)
-	}
-	if *jsonOut != "" {
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := report.WriteJSON(f); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
+		env.Fatal(err)
 	}
 	if !report.Pass {
-		os.Exit(1)
+		env.Exit(1)
 	}
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tiercheck:", err)
-	os.Exit(1)
+func writeJSON(report *experiments.TierReport, path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := report.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

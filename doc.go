@@ -20,8 +20,10 @@
 // binary shares through -cache-dir (DESIGN.md §12), and distribute
 // across machines via internal/service and cmd/expd, an HTTP runner
 // front-end every binary can consult through -server — with retry,
-// backoff and transparent local fallback (DESIGN.md §13); the shared
-// flag vocabulary those binaries validate lives in internal/cliutil.
+// backoff and transparent local fallback (DESIGN.md §13). All six
+// binaries declare, validate, open and tear down their shared flags
+// through one internal/cliutil.Env, whose package comment documents
+// those flags.
 // Store entries, checkpoints and both /v1/run bodies travel in one
 // checksummed binary frame, internal/wire (DESIGN.md §12).
 // Long runs survive crashes via internal/ckpt (DESIGN.md §14):

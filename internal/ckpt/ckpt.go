@@ -125,16 +125,6 @@ func (m *Manager) Stats() Stats {
 	}
 }
 
-// ReportStats prints the run's checkpoint counters to stderr (stderr
-// so stdout stays byte-identical with and without checkpointing).
-// Safe on a nil receiver.
-func (m *Manager) ReportStats(prog string) {
-	if m == nil {
-		return
-	}
-	fmt.Fprintf(os.Stderr, "%s: ckpt: %s\n", prog, m.Stats())
-}
-
 // runID is the content address of one run: human-readable fields for
 // debugging plus fingerprints that pin every field of the RunConfig.
 type runID struct {

@@ -1,11 +1,15 @@
 package cliutil
 
 import (
+	"bytes"
+	"flag"
 	"math"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/experiments"
 	"repro/internal/sim"
 )
 
@@ -149,11 +153,15 @@ func TestProbeWritableFailsFast(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "-checkpoint-dir") {
 		t.Fatalf("path beneath a regular file: error %v, want naming the flag", err)
 	}
-	if _, err := Checkpointing(bad, 0); err == nil {
-		t.Fatal("Checkpointing accepted an unusable -checkpoint-dir")
-	}
-	if _, err := CacheDir(bad); err == nil {
-		t.Fatal("CacheDir accepted an unusable -cache-dir")
+	for _, flagName := range []string{"-checkpoint-dir", "-cache-dir"} {
+		e, _ := testEnv(t, Flags{}, flagName, bad)
+		cfg, err := e.validate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.open(&cfg); err == nil || !strings.Contains(err.Error(), flagName) {
+			t.Fatalf("Open with an unusable %s: error %v, want naming the flag", flagName, err)
+		}
 	}
 }
 
@@ -177,6 +185,130 @@ func TestThreshold(t *testing.T) {
 		}
 		if tc.ok && got != tc.t {
 			t.Errorf("Threshold(%v) = %v, want identity", tc.t, got)
+		}
+	}
+}
+
+// testEnv builds an Env on its own flag set with stderr captured and
+// parses args into it.
+func testEnv(t *testing.T, opt Flags, args ...string) (*Env, *bytes.Buffer) {
+	t.Helper()
+	var stderr bytes.Buffer
+	fs := flag.NewFlagSet("prog", flag.ContinueOnError)
+	e := newEnv("prog", fs, true, opt)
+	e.stderr = &stderr
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.shutdown() })
+	return e, &stderr
+}
+
+// openEnv validates and opens an Env, failing the test on any error.
+func openEnv(t *testing.T, opt Flags, args ...string) (*Env, experiments.Config, *bytes.Buffer) {
+	t.Helper()
+	e, stderr := testEnv(t, opt, args...)
+	cfg, err := e.validate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.open(&cfg); err != nil {
+		t.Fatal(err)
+	}
+	return e, cfg, stderr
+}
+
+// TestEnvServer: no -server computes locally with no Remote installed
+// (not even a typed nil), a good URL installs the client, and a
+// malformed URL is a flag error at validation, before anything opens.
+func TestEnvServer(t *testing.T) {
+	if _, cfg, _ := openEnv(t, Flags{}); cfg.Remote != nil {
+		t.Errorf("no -server: Remote = %v, want nil", cfg.Remote)
+	}
+	if _, cfg, _ := openEnv(t, Flags{}, "-server", "http://127.0.0.1:1"); cfg.Remote == nil {
+		t.Error("-server with a valid URL installed no Remote")
+	}
+	e, _ := testEnv(t, Flags{}, "-server", ":bad:")
+	if _, err := e.validate(); err == nil || !strings.Contains(err.Error(), "URL") {
+		t.Errorf("-server=:bad: error %v, want a URL error", err)
+	}
+}
+
+// TestEnvStoreOpenFailureDegrades: a -cache-dir that passes the
+// writability probe but cannot hold a store (its entries directory is
+// a regular file) warns once and runs storeless instead of failing.
+func TestEnvStoreOpenFailureDegrades(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "entries"), []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e, cfg, stderr := openEnv(t, Flags{}, "-cache-dir", dir)
+	if cfg.Store != nil {
+		t.Fatal("unopenable store was installed")
+	}
+	if !strings.Contains(stderr.String(), "prog: store: ") ||
+		!strings.Contains(stderr.String(), "continuing without persistent cache") {
+		t.Fatalf("stderr %q lacks the degradation warning", stderr)
+	}
+	stderr.Reset()
+	if err := e.teardown(); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(stderr.String(), "prog: store: hits=") {
+		t.Fatalf("storeless run reported store stats: %q", stderr)
+	}
+}
+
+// TestEnvValidatesBeforeOpening: every bad shared flag fails
+// validation, and validation creates nothing on disk.
+func TestEnvValidatesBeforeOpening(t *testing.T) {
+	all := Flags{Seed: true, Fidelity: true, Threshold: true, Profiling: true}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-scale", "galactic"}, "unknown scale"},
+		{[]string{"-workers", "0"}, "-workers"},
+		{[]string{"-fidelity", "approximate"}, "fidelity"},
+		{[]string{"-sample-sets", "3", "-fidelity", "set-sampled"}, "power of two"},
+		{[]string{"-sample-sets", "8"}, "requires -fidelity=set-sampled"},
+		{[]string{"-threshold", "2"}, "-threshold"},
+		{[]string{"-checkpoint-every", "-1"}, "-checkpoint-every"},
+		{[]string{"-checkpoint-every", "1000"}, "-checkpoint-dir"},
+	} {
+		dir := filepath.Join(t.TempDir(), "never")
+		args := append([]string{"-cache-dir", dir, "-cpuprofile", filepath.Join(dir, "cpu.out")}, tc.args...)
+		e, _ := testEnv(t, all, args...)
+		if _, err := e.validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: error %v, want containing %q", tc.args, err, tc.want)
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Errorf("%v: validation created %s", tc.args, dir)
+		}
+	}
+}
+
+// TestEnvTeardownOnce: the teardown prints each opened layer's stats
+// line once, writes the profiles, and is a no-op the second time.
+func TestEnvTeardownOnce(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	e, _, stderr := openEnv(t, Flags{Profiling: true},
+		"-cache-dir", filepath.Join(dir, "cache"), "-checkpoint-dir", filepath.Join(dir, "ckpt"),
+		"-server", "http://127.0.0.1:1", "-cpuprofile", cpu, "-memprofile", mem)
+	for i := 0; i < 2; i++ {
+		if err := e.shutdown(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, line := range []string{"prog: service: ", "prog: checkpoints: store: ", "prog: ckpt: ", "prog: store: "} {
+		if n := strings.Count(stderr.String(), line); n != 1 {
+			t.Errorf("%q printed %d times, want once:\n%s", line, n, stderr)
+		}
+	}
+	for _, p := range []string{cpu, mem} {
+		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+			t.Errorf("profile %s not written (err=%v)", p, err)
 		}
 	}
 }

@@ -139,22 +139,6 @@ func NewClient(baseURL string, opts ClientOptions) (*Client, error) {
 	}, nil
 }
 
-// OpenCLI builds the client named by a binary's -server flag. An empty
-// URL means "compute locally" and returns nil, which every consumer
-// accepts (a nil *Client is never installed as an experiments.Remote).
-// A malformed URL is returned as an error for the binary to fail fast
-// on — it is user input, not a runtime fault.
-func OpenCLI(serverURL, prog string) (*Client, error) {
-	if serverURL == "" {
-		return nil, nil
-	}
-	return NewClient(serverURL, ClientOptions{
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, prog+": "+format+"\n", args...)
-		},
-	})
-}
-
 // Stats returns a snapshot of the client's counters.
 func (c *Client) Stats() ClientStats {
 	return ClientStats{
@@ -163,16 +147,6 @@ func (c *Client) Stats() ClientStats {
 		Retries:        c.retries.Load(),
 		Degraded:       c.degraded.Load(),
 	}
-}
-
-// ReportStats prints the client's counters to stderr (stderr so stdout
-// stays byte-identical with and without a server). Safe on a nil
-// receiver so binaries can call it unconditionally at exit.
-func (c *Client) ReportStats(prog string) {
-	if c == nil {
-		return
-	}
-	fmt.Fprintf(os.Stderr, "%s: service: %s\n", prog, c.Stats())
 }
 
 // Degraded reports whether the ladder has disabled the remote layer.

@@ -79,12 +79,6 @@ func TestClientURLValidation(t *testing.T) {
 			t.Errorf("NewClient(%q): expected error", bad)
 		}
 	}
-	if c, err := OpenCLI("", "test"); err != nil || c != nil {
-		t.Errorf("OpenCLI(\"\") = (%v, %v), want (nil, nil)", c, err)
-	}
-	if _, err := OpenCLI(":bad:", "test"); err == nil {
-		t.Error("OpenCLI with malformed URL: expected error")
-	}
 }
 
 // TestRemoteMatchesLocal: a healthy server serves results that are

@@ -1,51 +1,20 @@
 package store
 
 import (
-	"fmt"
 	"os"
 	"os/signal"
 	"syscall"
 )
 
-// OpenCLI opens the store named by a binary's -cache-dir flag. An
-// empty dir means "no persistent cache" and returns nil, which every
-// consumer accepts (experiments.Config.Store et al. treat nil as
-// in-memory only). An open failure is reported to stderr once and
-// likewise degrades to nil: a broken cache directory must never fail
-// a run that could complete without one.
-func OpenCLI(dir, prog string) *Store {
-	if dir == "" {
-		return nil
-	}
-	s, err := Open(dir, Options{Logf: func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, prog+": "+format+"\n", args...)
-	}})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: store: %v — continuing without persistent cache\n", prog, err)
-		return nil
-	}
-	return s
-}
-
-// ReportStats prints the run's cache counters to stderr (stderr so
-// stdout stays byte-identical with and without a cache). Safe on a
-// nil receiver so binaries can call it unconditionally at exit.
-func (s *Store) ReportStats(prog string) {
-	if s == nil {
-		return
-	}
-	fmt.Fprintf(os.Stderr, "%s: store: %s\n", prog, s.Stats())
-}
-
 // HandleSignals installs a SIGINT/SIGTERM handler that releases every
-// lockfile the given stores still hold and flushes their stats before
-// exiting with the conventional 128+signal status. Without it an
-// interrupt mid-publish leaves lockfiles other processes must wait
-// staleAge to reclaim. Binaries with several stores (result cache plus
-// checkpoint store) pass them all — one handler, one exit. The
-// returned stop func uninstalls the handler (deferred by binaries so a
-// normal exit path wins). Safe with nil stores.
-func HandleSignals(prog string, stores ...*Store) (stop func()) {
+// lockfile the given stores still hold, runs onSignal (the binary's
+// teardown; may be nil) and exits with the conventional 128+signal
+// status. Without it an interrupt mid-publish leaves lockfiles other
+// processes must wait staleAge to reclaim. Binaries with several
+// stores (result cache plus checkpoint store) pass them all — one
+// handler, one exit. The returned stop func uninstalls the handler so
+// a normal exit path wins. Safe with nil stores.
+func HandleSignals(onSignal func(os.Signal), stores ...*Store) (stop func()) {
 	ch := make(chan os.Signal, 2)
 	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
 	done := make(chan struct{})
@@ -54,9 +23,10 @@ func HandleSignals(prog string, stores ...*Store) (stop func()) {
 		case sig := <-ch:
 			for _, s := range stores {
 				s.ReleaseLocks()
-				s.ReportStats(prog)
 			}
-			fmt.Fprintf(os.Stderr, "%s: interrupted (%v)\n", prog, sig)
+			if onSignal != nil {
+				onSignal(sig)
+			}
 			code := 128 + int(syscall.SIGTERM)
 			if sig == os.Interrupt {
 				code = 128 + int(syscall.SIGINT)

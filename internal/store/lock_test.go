@@ -344,7 +344,9 @@ func TestHelperSignalHolder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stop := HandleSignals("helper", s)
+	stop := HandleSignals(func(sig os.Signal) {
+		fmt.Fprintf(os.Stderr, "helper: interrupted (%v)\n", sig)
+	}, s)
 	defer stop()
 	if _, err := s.acquireLock("one"); err != nil {
 		t.Fatal(err)

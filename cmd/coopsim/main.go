@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"text/tabwriter"
 
 	"repro/internal/cliutil"
@@ -87,25 +88,20 @@ func report(r *experiments.Runner, g workload.Group, scheme sim.SchemeKind) erro
 func compareAll(r *experiments.Runner, g workload.Group) error {
 	fmt.Printf("comparison on %s (%v), normalised to FairShare\n\n", g.Name, g.Benchmarks)
 	// All five scheme runs (and the solo runs weighted speedup needs)
-	// are independent: warm them concurrently, then collect.
-	if err := r.PrefetchSpeedup([]workload.Group{g}, sim.AllSchemes); err != nil {
-		return err
-	}
-	fair, err := r.RunGroup(g, sim.FairShare)
+	// are independent: run them concurrently, then collect.
+	rows, err := r.RunCross([]workload.Group{g}, sim.AllSchemes, true)
 	if err != nil {
 		return err
 	}
+	runs := rows[0]
+	fair := runs[slices.Index(sim.AllSchemes, sim.FairShare)]
 	fairWS, err := r.WeightedSpeedup(fair)
 	if err != nil {
 		return err
 	}
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "scheme\tweighted speedup\tdynamic energy\tstatic power\tways/access\tallocation")
-	for _, kind := range sim.AllSchemes {
-		res, err := r.RunGroup(g, kind)
-		if err != nil {
-			return err
-		}
+	for _, res := range runs {
 		ws, err := r.WeightedSpeedup(res)
 		if err != nil {
 			return err

@@ -26,10 +26,16 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. Width must be a power of two:
+// StepEvent's batched run retirement is bit-identical to per-record
+// stepping only when 1/Width is exactly representable (see
+// advanceClock), and no configuration of the paper needs another width.
 func (c Config) Validate() error {
 	if c.Width <= 0 || c.ROB <= 0 || c.LSQ <= 0 || c.PipelineDepth <= 0 {
 		return fmt.Errorf("cpu: non-positive config %+v", c)
+	}
+	if c.Width&(c.Width-1) != 0 {
+		return fmt.Errorf("cpu: width %d is not a power of two", c.Width)
 	}
 	return nil
 }
@@ -84,7 +90,6 @@ type Core struct {
 	// slower; it cycles its buffer's lines through the L1 alongside
 	// the cache model's own traffic, the §2 story at event scale).
 	ev        trace.Event
-	evExact   bool // Width is a power of two: O(1) run retirement allowed
 	codeBase  uint64
 	codeLimit uint64
 
@@ -127,21 +132,11 @@ func NewCore(id int, cfg Config, gen *trace.Generator, mem MemPort) *Core {
 		gen:        gen,
 		mem:        mem,
 		retireCost: 1 / float64(cfg.Width),
-		// Batched O(1) run retirement is only bit-identical to repeated
-		// per-record retirement when retireCost is a negative power of
-		// two (see StepEvent); other widths fall back to per-record
-		// stepping inside StepEvent.
-		evExact: cfg.Width&(cfg.Width-1) == 0,
 	}
 	c.effMLP = c.effectiveMLP()
 	c.codeBase, c.codeLimit = gen.CodeBounds()
 	return c
 }
-
-// EventCapable reports whether StepEvent uses batched run retirement
-// for this core (true for power-of-two issue widths); other cores
-// consume events through the bit-identical per-record fallback.
-func (c *Core) EventCapable() bool { return c.evExact }
 
 // ID returns the core's identifier.
 func (c *Core) ID() int { return c.id }
@@ -199,7 +194,7 @@ func (c *Core) effectiveMLP() float64 {
 // default stepping mode is the bit-identical event-compressed
 // StepEvent (DESIGN.md §10), which keeps the same one-pull-per-step
 // discipline at event granularity; Step remains the differential
-// reference and the fallback for non-power-of-two widths.
+// reference.
 func (c *Core) Step() {
 	// Drain any event-pulled instructions first so Step and StepEvent
 	// can be mixed freely on one core without reordering the stream.
@@ -281,27 +276,15 @@ func (c *Core) stepRecord(r *trace.Record) {
 // shared state except instruction fetches at I-line crossings, which
 // StepEvent performs at the same PCs and the same clock values as
 // per-record stepping, and the run's clock arithmetic is either exact
-// integer math in units of retireCost (power-of-two widths with the
-// clock an exact multiple of retireCost) or literally the same
-// sequence of float additions (see advanceClock). Non-power-of-two
-// widths take the per-record fallback below, guarded at construction
-// (evExact).
+// integer math in units of retireCost (the clock an exact multiple of
+// retireCost, which Validate's power-of-two width makes a negative
+// power of two) or literally the same sequence of float additions (see
+// advanceClock).
 func (c *Core) StepEvent(bound int64, maxRetire uint64) uint64 {
 	// Clamp far-future bounds so (bound+1)*Width stays in int64; any
 	// real clock is far below 2^52 cycles, so the clamp is invisible.
 	if bound > 1<<52 {
 		bound = 1 << 52
-	}
-	if !c.evExact {
-		// retireCost is not exactly representable: batching the clock
-		// advance would round differently than repeated addition, so
-		// consume the stream one record at a time.
-		var n uint64
-		for n < maxRetire && c.Now() <= bound {
-			c.Step()
-			n++
-		}
-		return n
 	}
 	var n uint64
 	for n < maxRetire && c.Now() <= bound {

@@ -100,12 +100,12 @@ func (r *rngSched) intn(n int) int {
 }
 
 // TestStepEventMatchesStep is the core-level differential oracle: for
-// power-of-two and non-power-of-two widths, integer and fractional
-// effective MLP, StepEvent under arbitrary (bound, cap) windows is
-// bit-identical — clock bits included — to per-record stepping under
-// the same windows.
+// every power-of-two width up to 8, integer and fractional effective
+// MLP, StepEvent under arbitrary (bound, cap) windows is bit-identical
+// — clock bits included — to per-record stepping under the same
+// windows.
 func TestStepEventMatchesStep(t *testing.T) {
-	for _, width := range []int{1, 2, 4, 8, 3, 6} {
+	for _, width := range []int{1, 2, 4, 8} {
 		for _, mlp := range []float64{1, 1.5, 2, 3} {
 			cfg := DefaultConfig()
 			cfg.Width = width
@@ -117,27 +117,22 @@ func TestStepEventMatchesStep(t *testing.T) {
 	}
 }
 
-// TestStepEventNonPow2WidthFallsBack pins the constructor guard: a
-// non-power-of-two width must not use batched run retirement (its
-// retireCost is rounded, so batching would round differently than
-// repeated addition), falling back to per-record stepping instead.
-func TestStepEventNonPow2WidthFallsBack(t *testing.T) {
+// TestValidateRejectsNonPow2Width pins the construction guard: a
+// non-power-of-two width has a rounded retireCost, so StepEvent's
+// batched retirement would round differently than repeated addition.
+// Validate refuses such a width instead of stepping it another way.
+func TestValidateRejectsNonPow2Width(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Width = 3
-	c := NewCore(0, cfg, trace.NewGenerator(eventTestConfig(2, 5)), &stallMem{})
-	if c.EventCapable() {
-		t.Fatal("width 3 core reports EventCapable")
-	}
-	c.StepEvent(1000, 500)
-	// The fallback consumes through Step: no pending event state may
-	// accumulate (per-record pulls bypass the event API entirely).
-	if c.ev.ALURun != 0 || c.ev.HasRec {
-		t.Fatalf("fallback left pending event state: %+v", c.ev)
+	for _, width := range []int{3, 5, 6, 12} {
+		cfg.Width = width
+		if cfg.Validate() == nil {
+			t.Errorf("width %d accepted", width)
+		}
 	}
 	for _, width := range []int{1, 2, 4, 16} {
 		cfg.Width = width
-		if !NewCore(0, cfg, trace.NewGenerator(eventTestConfig(2, 5)), &stallMem{}).EventCapable() {
-			t.Fatalf("width %d core not EventCapable", width)
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("width %d rejected: %v", width, err)
 		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 // This file implements the ablation studies of DESIGN.md §7 — the
 // design choices the paper calls out, each isolated against the full
 // Cooperative Partitioning scheme on the two-core workloads. Ablated
-// arms run through RunGroupVariant, so they are memoised (the report
+// arms are requests with a Variant, so they are memoised (the report
 // binary regenerates several ablations from one runner) and fan out
 // across the worker pool like every other run.
 
@@ -19,7 +19,7 @@ import (
 // with all ways allocated (threshold 0) so only the placement freedom
 // differs. The paper reports a negligible difference.
 func (r *Runner) AblationVictim() (metrics.Figure, error) {
-	err := r.runPairs(workload.Groups2, true,
+	ucps, cp0s, err := r.runPairs(workload.Groups2, true,
 		Request{Scheme: sim.UCP, Threshold: r.cfg.Threshold},
 		Request{Scheme: sim.CoopPart, Threshold: 0})
 	if err != nil {
@@ -32,21 +32,13 @@ func (r *Runner) AblationVictim() (metrics.Figure, error) {
 		XLabel: "group",
 	}
 	var free, aligned []float64
-	for _, g := range workload.Groups2 {
+	for i, g := range workload.Groups2 {
 		fig.X = append(fig.X, g.Name)
-		ucp, err := r.RunGroup(g, sim.UCP)
+		wsU, err := r.WeightedSpeedup(ucps[i])
 		if err != nil {
 			return metrics.Figure{}, err
 		}
-		cp0, err := r.RunGroupThreshold(g, sim.CoopPart, 0)
-		if err != nil {
-			return metrics.Figure{}, err
-		}
-		wsU, err := r.WeightedSpeedup(ucp)
-		if err != nil {
-			return metrics.Figure{}, err
-		}
-		wsC, err := r.WeightedSpeedup(cp0)
+		wsC, err := r.WeightedSpeedup(cp0s[i])
 		if err != nil {
 			return metrics.Figure{}, err
 		}
@@ -70,7 +62,7 @@ func (r *Runner) AblationTakeover() (metrics.Figure, error) {
 	// core-to-core transfer (turn-off periods have no recipient and
 	// would bias the ablated arm: its slow transitions simply never
 	// finish and drop out of the average).
-	err := r.runPairs(workload.Groups2, false,
+	cps, ablated, err := r.runPairs(workload.Groups2, false,
 		Request{Scheme: sim.CoopPart, Threshold: 0},
 		Request{Scheme: sim.CoopPart, Threshold: 0, Variant: VariantRecipientMissOnly})
 	if err != nil {
@@ -83,18 +75,10 @@ func (r *Runner) AblationTakeover() (metrics.Figure, error) {
 		XLabel: "group",
 	}
 	var full, missOnly []float64
-	for _, g := range workload.Groups2 {
+	for i, g := range workload.Groups2 {
 		fig.X = append(fig.X, g.Name)
-		cp, err := r.RunGroupThreshold(g, sim.CoopPart, 0)
-		if err != nil {
-			return metrics.Figure{}, err
-		}
-		ablated, err := r.RunGroupVariant(g, sim.CoopPart, 0, VariantRecipientMissOnly)
-		if err != nil {
-			return metrics.Figure{}, err
-		}
-		full = append(full, cp.Transition.AvgTransferCycles())
-		missOnly = append(missOnly, ablated.Transition.AvgTransferCycles())
+		full = append(full, cps[i].Transition.AvgTransferCycles())
+		missOnly = append(missOnly, ablated[i].Transition.AvgTransferCycles())
 	}
 	fig.Series = []metrics.NamedSeries{
 		{Name: "AllAccesses", Values: append(full, metrics.MeanNonZero(full))},
@@ -108,7 +92,7 @@ func (r *Runner) AblationTakeover() (metrics.Figure, error) {
 // unallocated ways off: the ablated variant partitions identically but
 // never gates.
 func (r *Runner) AblationGating() (metrics.Figure, error) {
-	err := r.runPairs(workload.Groups2, false,
+	gated, ungated, err := r.runPairs(workload.Groups2, false,
 		Request{Scheme: sim.CoopPart, Threshold: r.cfg.Threshold},
 		Request{Scheme: sim.CoopPart, Threshold: r.cfg.Threshold, Variant: VariantNoGating})
 	if err != nil {
@@ -121,17 +105,9 @@ func (r *Runner) AblationGating() (metrics.Figure, error) {
 		XLabel: "group",
 	}
 	var ratio []float64
-	for _, g := range workload.Groups2 {
+	for i, g := range workload.Groups2 {
 		fig.X = append(fig.X, g.Name)
-		gated, err := r.RunGroup(g, sim.CoopPart)
-		if err != nil {
-			return metrics.Figure{}, err
-		}
-		ungated, err := r.RunGroupVariant(g, sim.CoopPart, r.cfg.Threshold, VariantNoGating)
-		if err != nil {
-			return metrics.Figure{}, err
-		}
-		ratio = append(ratio, gated.StaticPower/ungated.StaticPower)
+		ratio = append(ratio, gated[i].StaticPower/ungated[i].StaticPower)
 	}
 	fig.Series = []metrics.NamedSeries{{Name: "Gated/Ungated", Values: ratio}}
 	fig.AppendGeoMeanColumn("AVG")
@@ -143,7 +119,7 @@ func (r *Runner) AblationGating() (metrics.Figure, error) {
 // Section 2.5's observation that way alignment makes the scheme
 // "closer in performance to a random choice of replacement block".
 func (r *Runner) AblationRandomVictim() (metrics.Figure, error) {
-	err := r.runPairs(workload.Groups2, true,
+	bases, rnds, err := r.runPairs(workload.Groups2, true,
 		Request{Scheme: sim.CoopPart, Threshold: r.cfg.Threshold},
 		Request{Scheme: sim.CoopPart, Threshold: r.cfg.Threshold, Variant: VariantRandomVictim})
 	if err != nil {
@@ -156,21 +132,13 @@ func (r *Runner) AblationRandomVictim() (metrics.Figure, error) {
 		XLabel: "group",
 	}
 	var lru, random []float64
-	for _, g := range workload.Groups2 {
+	for i, g := range workload.Groups2 {
 		fig.X = append(fig.X, g.Name)
-		base, err := r.RunGroup(g, sim.CoopPart)
+		wsL, err := r.WeightedSpeedup(bases[i])
 		if err != nil {
 			return metrics.Figure{}, err
 		}
-		rnd, err := r.RunGroupVariant(g, sim.CoopPart, r.cfg.Threshold, VariantRandomVictim)
-		if err != nil {
-			return metrics.Figure{}, err
-		}
-		wsL, err := r.WeightedSpeedup(base)
-		if err != nil {
-			return metrics.Figure{}, err
-		}
-		wsR, err := r.WeightedSpeedup(rnd)
+		wsR, err := r.WeightedSpeedup(rnds[i])
 		if err != nil {
 			return metrics.Figure{}, err
 		}

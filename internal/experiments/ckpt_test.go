@@ -29,7 +29,7 @@ func TestWarmupSharingExactlyOnce(t *testing.T) {
 	}
 	mgr := ckpt.New(ckpt.Options{Logf: func(format string, args ...any) { t.Logf("ckpt: "+format, args...) }})
 	r := NewRunner(Config{Scale: sim.TestScale(), Seed: 1, Checkpoints: mgr})
-	if err := r.PrefetchSpeedup([]workload.Group{g}, sim.AllSchemes); err != nil {
+	if _, err := r.RunCross([]workload.Group{g}, sim.AllSchemes, true); err != nil {
 		t.Fatal(err)
 	}
 
@@ -74,7 +74,7 @@ func TestWarmupSharingAcrossProcesses(t *testing.T) {
 		}
 		mgr := ckpt.New(ckpt.Options{Store: st, Every: 30_000, Logf: logf})
 		r := NewRunner(Config{Scale: sim.UnitScale(), Seed: 1, Checkpoints: mgr})
-		if err := r.PrefetchSpeedup([]workload.Group{g}, sim.AllSchemes); err != nil {
+		if _, err := r.RunCross([]workload.Group{g}, sim.AllSchemes, true); err != nil {
 			t.Fatal(err)
 		}
 		res, err := r.RunGroup(g, sim.CoopPart)

@@ -29,11 +29,11 @@ func TestRunGroupMemoisation(t *testing.T) {
 }
 
 func TestAloneIPCPositive(t *testing.T) {
-	ipc, err := unitRunner.AloneIPC("namd", 2)
+	res, err := unitRunner.lookup(solo(KindAlone, "namd", 2, sim.FidelityExact))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ipc <= 0 || ipc > 4 {
+	if ipc := res.IPC[0]; ipc <= 0 || ipc > 4 {
 		t.Fatalf("alone IPC = %v", ipc)
 	}
 }

@@ -25,7 +25,7 @@ import (
 // ExtDrowsy compares Cooperative Partitioning's static power with and
 // without the drowsy extension, normalised to the plain scheme.
 func (r *Runner) ExtDrowsy() (metrics.Figure, error) {
-	err := r.runPairs(workload.Groups2, true,
+	plains, exts, err := r.runPairs(workload.Groups2, true,
 		Request{Scheme: sim.CoopPart, Threshold: r.cfg.Threshold},
 		Request{Scheme: sim.CoopPart, Threshold: r.cfg.Threshold, Variant: VariantDrowsy})
 	if err != nil {
@@ -38,16 +38,9 @@ func (r *Runner) ExtDrowsy() (metrics.Figure, error) {
 		XLabel: "group",
 	}
 	var ratios, wsRatios []float64
-	for _, g := range workload.Groups2 {
+	for i, g := range workload.Groups2 {
 		fig.X = append(fig.X, g.Name)
-		plain, err := r.RunGroup(g, sim.CoopPart)
-		if err != nil {
-			return metrics.Figure{}, err
-		}
-		ext, err := r.RunGroupVariant(g, sim.CoopPart, r.cfg.Threshold, VariantDrowsy)
-		if err != nil {
-			return metrics.Figure{}, err
-		}
+		plain, ext := plains[i], exts[i]
 		ratios = append(ratios, ext.StaticPower/plain.StaticPower)
 		wsP, err := r.WeightedSpeedup(plain)
 		if err != nil {
@@ -87,19 +80,13 @@ const LLCShareOfChip = 0.20
 // Headroom estimates, per two-core workload, how much clock-frequency
 // headroom Cooperative Partitioning's energy savings create.
 func (r *Runner) Headroom() ([]HeadroomRow, error) {
-	if err := r.Prefetch(workload.Groups2, []sim.SchemeKind{sim.FairShare, sim.CoopPart}); err != nil {
+	runs, err := r.RunCross(workload.Groups2, []sim.SchemeKind{sim.FairShare, sim.CoopPart}, false)
+	if err != nil {
 		return nil, err
 	}
 	var rows []HeadroomRow
-	for _, g := range workload.Groups2 {
-		fair, err := r.RunGroup(g, sim.FairShare)
-		if err != nil {
-			return nil, err
-		}
-		coop, err := r.RunGroup(g, sim.CoopPart)
-		if err != nil {
-			return nil, err
-		}
+	for i, g := range workload.Groups2 {
+		fair, coop := runs[i][0], runs[i][1]
 		fairTotal := fair.Dynamic + fair.Static
 		coopTotal := coop.Dynamic + coop.Static
 		if fairTotal <= 0 {

@@ -1,8 +1,8 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -21,8 +21,9 @@ func (r *Runner) schemeSeries(cores int, id, title, ylabel string, speedup bool,
 	}
 	// Fan every (group, scheme) run — and, for the weighted-speedup
 	// figures, the solo runs Equation 1 needs — out over the worker
-	// pool; the serial collection below then hits the warm memo.
-	if err := r.runAll(context.Background(), r.crossRequests(groups, sim.AllSchemes), speedup); err != nil {
+	// pool; the serial collection below then reads the results.
+	rows, err := r.RunCross(groups, sim.AllSchemes, speedup)
+	if err != nil {
 		return metrics.Figure{}, err
 	}
 	fig := metrics.Figure{ID: id, Title: title, YLabel: ylabel, XLabel: "group"}
@@ -30,30 +31,23 @@ func (r *Runner) schemeSeries(cores int, id, title, ylabel string, speedup bool,
 		fig.X = append(fig.X, g.Name)
 	}
 
+	fair := slices.Index(sim.AllSchemes, sim.FairShare)
 	base := make([]float64, len(groups))
-	for i, g := range groups {
-		res, err := r.RunGroup(g, sim.FairShare)
-		if err != nil {
-			return metrics.Figure{}, err
-		}
-		if base[i], err = value(r, res); err != nil {
+	for i, row := range rows {
+		if base[i], err = value(r, row[fair]); err != nil {
 			return metrics.Figure{}, err
 		}
 	}
 
-	for _, scheme := range sim.AllSchemes {
+	for si, scheme := range sim.AllSchemes {
 		vals := make([]float64, len(groups))
-		for i, g := range groups {
-			res, err := r.RunGroup(g, scheme)
-			if err != nil {
-				return metrics.Figure{}, err
-			}
-			v, err := value(r, res)
+		for i, row := range rows {
+			v, err := value(r, row[si])
 			if err != nil {
 				return metrics.Figure{}, err
 			}
 			if base[i] == 0 {
-				return metrics.Figure{}, fmt.Errorf("%s: zero FairShare baseline for %s", id, g.Name)
+				return metrics.Figure{}, fmt.Errorf("%s: zero FairShare baseline for %s", id, groups[i].Name)
 			}
 			vals[i] = v / base[i]
 		}
@@ -129,7 +123,8 @@ func (r *Runner) thresholdSeries(id, title, ylabel string, speedup bool,
 				Fidelity: r.cfg.Fidelity})
 		}
 	}
-	if err := r.runAll(context.Background(), reqs, speedup); err != nil {
+	runs, err := r.RunAll(reqs, speedup)
+	if err != nil {
 		return metrics.Figure{}, err
 	}
 	fig := metrics.Figure{ID: id, Title: title, YLabel: ylabel, XLabel: "group"}
@@ -137,29 +132,23 @@ func (r *Runner) thresholdSeries(id, title, ylabel string, speedup bool,
 		fig.X = append(fig.X, g.Name)
 	}
 
+	// rows is [threshold][group]; Thresholds[0] is T=0, the baseline.
+	rows := slices.Collect(slices.Chunk(runs, len(groups)))
 	base := make([]float64, len(groups))
-	for i, g := range groups {
-		res, err := r.RunGroupThreshold(g, sim.CoopPart, 0)
-		if err != nil {
-			return metrics.Figure{}, err
-		}
+	for i, res := range rows[0] {
 		if base[i], err = value(r, res); err != nil {
 			return metrics.Figure{}, err
 		}
 	}
-	for _, T := range Thresholds {
+	for ti, T := range Thresholds {
 		vals := make([]float64, len(groups))
-		for i, g := range groups {
-			res, err := r.RunGroupThreshold(g, sim.CoopPart, T)
-			if err != nil {
-				return metrics.Figure{}, err
-			}
+		for i, res := range rows[ti] {
 			v, err := value(r, res)
 			if err != nil {
 				return metrics.Figure{}, err
 			}
 			if base[i] == 0 {
-				return metrics.Figure{}, fmt.Errorf("%s: zero T=0 baseline for %s", id, g.Name)
+				return metrics.Figure{}, fmt.Errorf("%s: zero T=0 baseline for %s", id, groups[i].Name)
 			}
 			vals[i] = v / base[i]
 		}
@@ -195,7 +184,8 @@ func (r *Runner) Fig13() (metrics.Figure, error) {
 // transfers, as fractions per group (stacking to 1).
 func (r *Runner) Fig14() (metrics.Figure, error) {
 	groups := workload.Groups2
-	if err := r.Prefetch(groups, []sim.SchemeKind{sim.CoopPart}); err != nil {
+	rows, err := r.RunCross(groups, []sim.SchemeKind{sim.CoopPart}, false)
+	if err != nil {
 		return metrics.Figure{}, err
 	}
 	fig := metrics.Figure{
@@ -206,13 +196,9 @@ func (r *Runner) Fig14() (metrics.Figure, error) {
 	}
 	classes := []string{"RecipientMisses", "RecipientHits", "DonorMisses", "DonorHits"}
 	vals := make(map[string][]float64, len(classes))
-	for _, g := range groups {
-		res, err := r.RunGroup(g, sim.CoopPart)
-		if err != nil {
-			return metrics.Figure{}, err
-		}
+	for i, g := range groups {
 		fig.X = append(fig.X, g.Name)
-		tr := res.Transition
+		tr := rows[i][0].Transition
 		total := float64(tr.TakeoverEventTotal())
 		frac := func(v uint64) float64 {
 			if total == 0 {
@@ -250,7 +236,8 @@ func (r *Runner) Fig14() (metrics.Figure, error) {
 // versus Cooperative Partitioning.
 func (r *Runner) Fig15() (metrics.Figure, error) {
 	groups := workload.Groups2
-	if err := r.Prefetch(groups, []sim.SchemeKind{sim.UCP, sim.CoopPart}); err != nil {
+	rows, err := r.RunCross(groups, []sim.SchemeKind{sim.UCP, sim.CoopPart}, false)
+	if err != nil {
 		return metrics.Figure{}, err
 	}
 	fig := metrics.Figure{
@@ -260,18 +247,10 @@ func (r *Runner) Fig15() (metrics.Figure, error) {
 		XLabel: "group",
 	}
 	var ucp, coop []float64
-	for _, g := range groups {
+	for i, g := range groups {
 		fig.X = append(fig.X, g.Name)
-		ru, err := r.RunGroup(g, sim.UCP)
-		if err != nil {
-			return metrics.Figure{}, err
-		}
-		rc, err := r.RunGroup(g, sim.CoopPart)
-		if err != nil {
-			return metrics.Figure{}, err
-		}
-		ucp = append(ucp, ru.Transition.AvgTransferCycles())
-		coop = append(coop, rc.Transition.AvgTransferCycles())
+		ucp = append(ucp, rows[i][0].Transition.AvgTransferCycles())
+		coop = append(coop, rows[i][1].Transition.AvgTransferCycles())
 	}
 	// Groups whose runs completed no transfer report 0 and are skipped
 	// by the average.
@@ -287,22 +266,15 @@ func (r *Runner) Fig15() (metrics.Figure, error) {
 // partitioning decision, averaged per repartition across the two-core
 // groups.
 func (r *Runner) Fig16() (metrics.Figure, error) {
-	groups := workload.Groups2
-	if err := r.Prefetch(groups, []sim.SchemeKind{sim.UCP, sim.CoopPart}); err != nil {
+	rows, err := r.RunCross(workload.Groups2, []sim.SchemeKind{sim.UCP, sim.CoopPart}, false)
+	if err != nil {
 		return metrics.Figure{}, err
 	}
 	var ucpTL, coopTL []float64
 	var ucpReps, coopReps uint64
 	var bucket int64
-	for _, g := range groups {
-		ru, err := r.RunGroup(g, sim.UCP)
-		if err != nil {
-			return metrics.Figure{}, err
-		}
-		rc, err := r.RunGroup(g, sim.CoopPart)
-		if err != nil {
-			return metrics.Figure{}, err
-		}
+	for _, row := range rows {
+		ru, rc := row[0], row[1]
 		bucket = rc.Transition.TimelineBucket
 		if ucpTL == nil {
 			ucpTL = make([]float64, len(ru.Transition.Timeline))

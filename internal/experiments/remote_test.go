@@ -12,8 +12,10 @@ import (
 )
 
 // runnerRemote adapts a second, fully local Runner into a Remote —
-// the in-process stand-in for an expd server. It records the keys it
-// was asked for so tests can pin the canonical-key contract.
+// the in-process stand-in for an expd server. Each method turns its
+// arguments back into a Request and resolves it on that runner. It
+// records the keys it was asked for so tests can pin the canonical-key
+// contract.
 type runnerRemote struct {
 	r     *Runner
 	calls atomic.Uint64
@@ -39,7 +41,7 @@ func (f *runnerRemote) RemoteRun(key string, sc sim.Scale, seed uint64, g worklo
 	if !f.record(key) {
 		return nil, false
 	}
-	res, err := f.r.RunGroupFidelity(g, scheme, threshold, v, fid)
+	res, err := f.r.lookup(Request{Group: g, Scheme: scheme, Threshold: threshold, Variant: v, Fidelity: fid})
 	if err != nil {
 		return nil, false
 	}
@@ -51,7 +53,7 @@ func (f *runnerRemote) RemoteAlone(key string, sc sim.Scale, seed uint64,
 	if !f.record(key) {
 		return nil, false
 	}
-	res, err := f.r.aloneResults(benchmark, cores, fid)
+	res, err := f.r.lookup(solo(KindAlone, benchmark, cores, fid))
 	if err != nil {
 		return nil, false
 	}
@@ -63,11 +65,11 @@ func (f *runnerRemote) RemoteProfile(key string, sc sim.Scale, seed uint64,
 	if !f.record(key) {
 		return partition.CoreProfile{}, false
 	}
-	p, err := f.r.profile(benchmark, cores, fid)
+	res, err := f.r.lookup(solo(KindProfile, benchmark, cores, fid))
 	if err != nil {
 		return partition.CoreProfile{}, false
 	}
-	return p, true
+	return res.Profile, true
 }
 
 func jsonOf(t *testing.T, v any) string {
@@ -110,7 +112,7 @@ func TestRemoteLayerServesRuns(t *testing.T) {
 	if remote.calls.Load() == 0 {
 		t.Fatal("remote never consulted")
 	}
-	wantKey := front.RunKey(g, sim.CoopPart, DefaultThreshold, VariantNone, sim.FidelityExact)
+	wantKey := front.Key(Request{Group: g, Scheme: sim.CoopPart, Threshold: DefaultThreshold})
 	select {
 	case key := <-remote.keys:
 		if key != wantKey {

@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -36,7 +37,7 @@ type Config struct {
 	Seed  uint64
 	// Threshold for CoopPart/DynCPE runs; DefaultThreshold if zero.
 	Threshold float64
-	// Workers bounds the number of simulations Prefetch/RunAll execute
+	// Workers bounds the number of simulations RunAll executes
 	// concurrently; GOMAXPROCS if zero. Results are bit-identical for
 	// every worker count: each simulation is an independent
 	// single-goroutine run keyed only by its configuration.
@@ -131,6 +132,89 @@ func applyVariant(cfg *sim.RunConfig, v Variant) error {
 	return nil
 }
 
+// Kind names what a Request asks the runner for. The zero value is a
+// group run, so a Request literal without a Kind still means one.
+type Kind uint8
+
+const (
+	// KindRun is one workload group under one scheme: a bar of Figs 5-16.
+	KindRun Kind = iota
+	// KindAlone is one benchmark running by itself on the LLC geometry
+	// of a Cores-sized group: a denominator of Equation 1.
+	KindAlone
+	// KindProfile is KindAlone with Dynamic CPE's per-phase utility
+	// capture on: the paper's offline profiling step.
+	KindProfile
+)
+
+var kindNames = [...]string{KindRun: "run", KindAlone: "alone", KindProfile: "profile"}
+
+// String is the kind's name in store keys and on the wire.
+func (k Kind) String() string { return kindNames[k] }
+
+// ParseKind is the inverse of Kind.String.
+func ParseKind(s string) (Kind, error) {
+	for k, name := range kindNames {
+		if name == s {
+			return Kind(k), nil
+		}
+	}
+	return 0, fmt.Errorf("experiments: unknown kind %q", s)
+}
+
+// Payload is the part of a lookup's Results that a store entry and a
+// wire response of kind k carry: the whole Results, or for a profile
+// only its CoreProfile.
+func (k Kind) Payload(res *sim.Results) any {
+	if k == KindProfile {
+		return &res.Profile
+	}
+	return res
+}
+
+// Request names one memoisable job. Group runs read Group, Scheme,
+// Threshold and Variant; solo runs and profiles read Benchmark and
+// Cores. Threshold 0 is an explicit zero threshold, not the runner's
+// default. Fidelity is explicit — the zero value is sim.FidelityExact,
+// never the runner's default — so hand-built requests stay on the
+// bit-identical tier unless they opt out; the runner's own request
+// builders stamp its configured fidelity.
+type Request struct {
+	Kind      Kind
+	Group     workload.Group
+	Scheme    sim.SchemeKind
+	Threshold float64
+	Variant   Variant
+	Benchmark string
+	Cores     int
+	Fidelity  sim.Fidelity
+}
+
+// solo builds the solo-run or profile request of one benchmark on the
+// LLC geometry of cores-sized groups.
+func solo(kind Kind, benchmark string, cores int, fid sim.Fidelity) Request {
+	return Request{Kind: kind, Benchmark: benchmark, Cores: cores, Fidelity: fid}
+}
+
+// memoKey is a request's identity in the runner's memo: every field Key
+// renders except the runner-wide scale and seed, as a comparable value,
+// so a memo hit renders no string.
+type memoKey struct {
+	kind      Kind
+	group     string
+	scheme    sim.SchemeKind
+	threshold float64
+	variant   Variant
+	benchmark string
+	cores     int
+	fidelity  sim.Fidelity
+}
+
+func (req Request) memoKey() memoKey {
+	return memoKey{req.Kind, req.Group.Name, req.Scheme, req.Threshold, req.Variant,
+		req.Benchmark, req.Cores, req.Fidelity}
+}
+
 // Runner executes and memoises simulation runs. All methods are safe
 // for concurrent use: each distinct run executes exactly once, with
 // duplicate requests blocking on the in-flight execution instead of
@@ -143,24 +227,7 @@ type Runner struct {
 	// parameter never alias even if they share a name.
 	scaleFP string
 	sims    atomic.Uint64
-
-	runs     flight[runKey, *sim.Results]
-	alone    flight[aloneKey, *sim.Results]
-	profiles flight[aloneKey, partition.CoreProfile]
-}
-
-type runKey struct {
-	group     string
-	scheme    sim.SchemeKind
-	threshold float64
-	variant   Variant
-	fidelity  sim.Fidelity
-}
-
-type aloneKey struct {
-	benchmark string
-	cores     int
-	fidelity  sim.Fidelity
+	memo    flight[memoKey, *sim.Results]
 }
 
 // NewRunner builds a Runner; a zero-value Config gets the test scale,
@@ -190,39 +257,25 @@ func NewRunner(cfg Config) *Runner {
 	return r
 }
 
-// Store key rendering: the canonical strings the persistent cache is
-// addressed by. Seed and the full scale fingerprint are explicit —
+// Key renders the canonical store identity of a request: the string
+// the persistent cache addresses it by, which the service protocol
+// also sends with every request for the server to recompute and
+// verify, so client and server can never silently disagree about what
+// a result is for. Seed and the full scale fingerprint are explicit —
 // the in-memory memo is scoped to one runner (one scale, one seed),
 // the disk store is shared by every process pointed at the directory.
 // Threshold uses the shortest exact float form, so the explicit-zero
 // sentinel and the default threshold stay distinct (DESIGN.md §3).
-func (r *Runner) storeRunKey(k runKey) string {
-	return fmt.Sprintf("run|scale=%s|seed=%d|group=%s|scheme=%s|threshold=%s|variant=%s|fidelity=%s",
-		r.scaleFP, r.cfg.Seed, k.group, k.scheme,
-		strconv.FormatFloat(k.threshold, 'g', -1, 64), k.variant, k.fidelity)
-}
-
-func (r *Runner) storeAloneKey(kind string, k aloneKey) string {
+// The strings are pinned (service's TestKeysAndFramesAreStable):
+// changing one orphans every existing store.
+func (r *Runner) Key(req Request) string {
+	if req.Kind == KindRun {
+		return fmt.Sprintf("run|scale=%s|seed=%d|group=%s|scheme=%s|threshold=%s|variant=%s|fidelity=%s",
+			r.scaleFP, r.cfg.Seed, req.Group.Name, req.Scheme,
+			strconv.FormatFloat(req.Threshold, 'g', -1, 64), req.Variant, req.Fidelity)
+	}
 	return fmt.Sprintf("%s|scale=%s|seed=%d|benchmark=%s|cores=%d|fidelity=%s",
-		kind, r.scaleFP, r.cfg.Seed, k.benchmark, k.cores, k.fidelity)
-}
-
-// RunKey renders the canonical store identity of a fully keyed group
-// run. The service protocol sends it with every request and the server
-// recomputes and verifies it, so client and server can never silently
-// disagree about what a result is for.
-func (r *Runner) RunKey(g workload.Group, scheme sim.SchemeKind, threshold float64, v Variant, fid sim.Fidelity) string {
-	return r.storeRunKey(runKey{g.Name, scheme, threshold, v, fid})
-}
-
-// AloneKey renders the canonical store identity of a solo run.
-func (r *Runner) AloneKey(benchmark string, cores int, fid sim.Fidelity) string {
-	return r.storeAloneKey("alone", aloneKey{benchmark, cores, fid})
-}
-
-// ProfileKey renders the canonical store identity of a DynCPE profile.
-func (r *Runner) ProfileKey(benchmark string, cores int, fid sim.Fidelity) string {
-	return r.storeAloneKey("profile", aloneKey{benchmark, cores, fid})
+		req.Kind, r.scaleFP, r.cfg.Seed, req.Benchmark, req.Cores, req.Fidelity)
 }
 
 // Scale returns the runner's simulation scale.
@@ -252,173 +305,99 @@ func (r *Runner) Simulations() uint64 { return r.sims.Load() }
 // reporting and the warm-up exactly-once assertions.
 func (r *Runner) Checkpoints() *ckpt.Manager { return r.cfg.Checkpoints }
 
-// AloneResults returns (memoised) the solo run of a benchmark on the
-// LLC geometry used by groups of the given core count, at the runner's
-// fidelity.
-func (r *Runner) AloneResults(benchmark string, cores int) (*sim.Results, error) {
-	return r.aloneResults(benchmark, cores, r.cfg.Fidelity)
-}
-
-// aloneResults is the fully keyed solo run: fidelity is part of the
-// memo key so the two tiers' solo IPCs never alias.
-func (r *Runner) aloneResults(benchmark string, cores int, fid sim.Fidelity) (*sim.Results, error) {
-	key := aloneKey{benchmark, cores, fid}
-	return r.alone.Do(key, func() (*sim.Results, error) {
-		skey := r.storeAloneKey("alone", key)
+// lookup resolves one request through the ladder every result takes:
+// memo, disk store, remote, then checkpointed simulation. A result the
+// store did not answer is published into it. Fidelity is part of every
+// key (like the threshold sentinel, regression-pinned by
+// TestFidelityMemoisedDistinctly), so one tier's result is never served
+// to another. A profile's answer is in the Results' Profile field.
+func (r *Runner) lookup(req Request) (*sim.Results, error) {
+	return r.memo.Do(req.memoKey(), func() (*sim.Results, error) {
+		key := r.Key(req)
+		// A disk or remote hit on a DynCPE run also skips the profile
+		// runs its simulation would have needed.
 		if st := r.cfg.Store; st != nil {
 			var cached sim.Results
-			if st.Get(skey, &cached) {
+			if st.Get(key, req.Kind.Payload(&cached)) {
 				return &cached, nil
 			}
 		}
-		if rem := r.cfg.Remote; rem != nil {
-			if res, ok := rem.RemoteAlone(skey, r.cfg.Scale, r.cfg.Seed, benchmark, cores, fid); ok {
-				if r.cfg.Store != nil {
-					r.cfg.Store.Put(skey, res)
-				}
-				return res, nil
+		res, ok := r.fetch(key, req)
+		if !ok {
+			cfg, err := r.runConfig(req)
+			if err != nil {
+				return nil, err
+			}
+			r.sims.Add(1)
+			if res, err = r.cfg.Checkpoints.Run(cfg); err != nil {
+				return nil, err
 			}
 		}
-		cfg, err := sim.AloneConfig(benchmark, r.scaleFor(fid), cores, r.cfg.Seed, fid)
-		if err != nil {
-			return nil, err
-		}
-		r.sims.Add(1)
-		res, err := r.cfg.Checkpoints.Run(cfg)
-		if err == nil && r.cfg.Store != nil {
-			r.cfg.Store.Put(skey, res)
-		}
-		return res, err
-	})
-}
-
-// AloneIPC returns a benchmark's alone IPC for Equation 1 at the
-// runner's fidelity.
-func (r *Runner) AloneIPC(benchmark string, cores int) (float64, error) {
-	return r.aloneIPC(benchmark, cores, r.cfg.Fidelity)
-}
-
-func (r *Runner) aloneIPC(benchmark string, cores int, fid sim.Fidelity) (float64, error) {
-	res, err := r.aloneResults(benchmark, cores, fid)
-	if err != nil {
-		return 0, err
-	}
-	return res.IPC[0], nil
-}
-
-// Profile returns (memoised) the per-phase utility profile of a
-// benchmark for Dynamic CPE, at the runner's fidelity.
-func (r *Runner) Profile(benchmark string, cores int) (partition.CoreProfile, error) {
-	return r.profile(benchmark, cores, r.cfg.Fidelity)
-}
-
-func (r *Runner) profile(benchmark string, cores int, fid sim.Fidelity) (partition.CoreProfile, error) {
-	key := aloneKey{benchmark, cores, fid}
-	return r.profiles.Do(key, func() (partition.CoreProfile, error) {
-		skey := r.storeAloneKey("profile", key)
 		if st := r.cfg.Store; st != nil {
-			var cached partition.CoreProfile
-			if st.Get(skey, &cached) {
-				return cached, nil
-			}
+			st.Put(key, req.Kind.Payload(res))
 		}
-		if rem := r.cfg.Remote; rem != nil {
-			if p, ok := rem.RemoteProfile(skey, r.cfg.Scale, r.cfg.Seed, benchmark, cores, fid); ok {
-				if r.cfg.Store != nil {
-					r.cfg.Store.Put(skey, p)
-				}
-				return p, nil
-			}
-		}
-		cfg, err := sim.ProfileConfig(benchmark, r.scaleFor(fid), cores, r.cfg.Seed, fid)
-		if err != nil {
-			return partition.CoreProfile{}, err
-		}
-		r.sims.Add(1)
-		res, err := r.cfg.Checkpoints.Run(cfg)
-		if err != nil {
-			return partition.CoreProfile{}, err
-		}
-		if r.cfg.Store != nil {
-			r.cfg.Store.Put(skey, res.Profile)
-		}
-		return res.Profile, nil
+		return res, nil
 	})
+}
+
+// fetch asks the remote layer for a request; ok=false (no remote, or
+// the remote cannot answer) means compute locally.
+func (r *Runner) fetch(key string, req Request) (*sim.Results, bool) {
+	rem := r.cfg.Remote
+	if rem == nil {
+		return nil, false
+	}
+	sc, seed := r.cfg.Scale, r.cfg.Seed
+	switch req.Kind {
+	case KindAlone:
+		return rem.RemoteAlone(key, sc, seed, req.Benchmark, req.Cores, req.Fidelity)
+	case KindProfile:
+		p, ok := rem.RemoteProfile(key, sc, seed, req.Benchmark, req.Cores, req.Fidelity)
+		return &sim.Results{Profile: p}, ok
+	default:
+		return rem.RemoteRun(key, sc, seed, req.Group, req.Scheme, req.Threshold, req.Variant, req.Fidelity)
+	}
+}
+
+// runConfig builds the simulation of a request no layer above
+// simulation answered. A DynCPE group run first resolves its
+// benchmarks' profiles through the same ladder, at its own tier.
+func (r *Runner) runConfig(req Request) (sim.RunConfig, error) {
+	sc := r.scaleFor(req.Fidelity)
+	switch req.Kind {
+	case KindAlone:
+		return sim.AloneConfig(req.Benchmark, sc, req.Cores, r.cfg.Seed, req.Fidelity)
+	case KindProfile:
+		return sim.ProfileConfig(req.Benchmark, sc, req.Cores, r.cfg.Seed, req.Fidelity)
+	}
+	cfg := sim.RunConfig{
+		Scale:     sc,
+		Scheme:    req.Scheme,
+		Group:     req.Group,
+		Threshold: sim.EncodeThreshold(req.Threshold),
+		Seed:      r.cfg.Seed,
+		Fidelity:  req.Fidelity,
+	}
+	if err := applyVariant(&cfg, req.Variant); err != nil {
+		return sim.RunConfig{}, err
+	}
+	if req.Scheme == sim.DynCPE {
+		cores := len(req.Group.Benchmarks)
+		for _, b := range req.Group.Benchmarks {
+			p, err := r.lookup(solo(KindProfile, b, cores, req.Fidelity))
+			if err != nil {
+				return sim.RunConfig{}, err
+			}
+			cfg.Profiles = append(cfg.Profiles, p.Profile)
+		}
+	}
+	return cfg, nil
 }
 
 // RunGroup executes (memoised) one group under one scheme at the
-// runner's threshold.
+// runner's threshold and fidelity.
 func (r *Runner) RunGroup(g workload.Group, scheme sim.SchemeKind) (*sim.Results, error) {
-	return r.RunGroupVariant(g, scheme, r.cfg.Threshold, VariantNone)
-}
-
-// RunGroupThreshold is RunGroup with an explicit CoopPart threshold
-// (Figures 11-13 sweep it). A threshold of 0 means exactly zero — it is
-// memoised distinctly from DefaultThreshold and encoded for the
-// simulator by sim.EncodeThreshold.
-func (r *Runner) RunGroupThreshold(g workload.Group, scheme sim.SchemeKind, threshold float64) (*sim.Results, error) {
-	return r.RunGroupVariant(g, scheme, threshold, VariantNone)
-}
-
-// RunGroupVariant is RunGroupFidelity at the runner's fidelity.
-func (r *Runner) RunGroupVariant(g workload.Group, scheme sim.SchemeKind, threshold float64, v Variant) (*sim.Results, error) {
-	return r.RunGroupFidelity(g, scheme, threshold, v, r.cfg.Fidelity)
-}
-
-// RunGroupFidelity is the fully keyed run: group x scheme x threshold
-// x ablation variant x RNG-walk tier. Fidelity is part of the memo key
-// (like the threshold sentinel, regression-pinned by
-// TestFidelityMemoisedDistinctly), and a DynCPE run gathers its
-// profiles at its own tier.
-func (r *Runner) RunGroupFidelity(g workload.Group, scheme sim.SchemeKind, threshold float64, v Variant, fid sim.Fidelity) (*sim.Results, error) {
-	key := runKey{g.Name, scheme, threshold, v, fid}
-	return r.runs.Do(key, func() (*sim.Results, error) {
-		skey := r.storeRunKey(key)
-		if st := r.cfg.Store; st != nil {
-			var cached sim.Results
-			if st.Get(skey, &cached) {
-				// A disk hit also skips the DynCPE profile runs the
-				// simulation would have needed.
-				return &cached, nil
-			}
-		}
-		if rem := r.cfg.Remote; rem != nil {
-			// A remote hit likewise skips the DynCPE profiles: the
-			// server gathers its own.
-			if res, ok := rem.RemoteRun(skey, r.cfg.Scale, r.cfg.Seed, g, scheme, threshold, v, fid); ok {
-				if r.cfg.Store != nil {
-					r.cfg.Store.Put(skey, res)
-				}
-				return res, nil
-			}
-		}
-		cfg := sim.RunConfig{
-			Scale:     r.scaleFor(fid),
-			Scheme:    scheme,
-			Group:     g,
-			Threshold: sim.EncodeThreshold(threshold),
-			Seed:      r.cfg.Seed,
-			Fidelity:  fid,
-		}
-		if err := applyVariant(&cfg, v); err != nil {
-			return nil, err
-		}
-		if scheme == sim.DynCPE {
-			for _, b := range g.Benchmarks {
-				p, err := r.profile(b, len(g.Benchmarks), fid)
-				if err != nil {
-					return nil, err
-				}
-				cfg.Profiles = append(cfg.Profiles, p)
-			}
-		}
-		r.sims.Add(1)
-		res, err := r.cfg.Checkpoints.Run(cfg)
-		if err == nil && r.cfg.Store != nil {
-			r.cfg.Store.Put(skey, res)
-		}
-		return res, err
-	})
+	return r.lookup(Request{Group: g, Scheme: scheme, Threshold: r.cfg.Threshold, Fidelity: r.cfg.Fidelity})
 }
 
 // WeightedSpeedup computes Equation 1 for one run. The solo
@@ -428,133 +407,99 @@ func (r *Runner) RunGroupFidelity(g workload.Group, scheme sim.SchemeKind, thres
 func (r *Runner) WeightedSpeedup(res *sim.Results) (float64, error) {
 	alone := make(map[string]float64, len(res.Benchmarks))
 	for _, b := range res.Benchmarks {
-		ipc, err := r.aloneIPC(b, len(res.Benchmarks), res.Fidelity)
+		s, err := r.lookup(solo(KindAlone, b, len(res.Benchmarks), res.Fidelity))
 		if err != nil {
 			return 0, err
 		}
-		alone[b] = ipc
+		alone[b] = s.IPC[0]
 	}
 	return res.WeightedSpeedup(alone)
 }
 
-// Request names one memoisable run for RunAll. Threshold follows
-// RunGroupThreshold semantics: 0 is an explicit zero threshold, not the
-// runner's default. Fidelity is explicit — the zero value is
-// sim.FidelityExact, never the runner's default — so hand-built
-// requests stay on the bit-identical tier unless they opt out; the
-// runner's own request builders stamp its configured fidelity.
-type Request struct {
-	Group     workload.Group
-	Scheme    sim.SchemeKind
-	Threshold float64
-	Variant   Variant
-	Fidelity  sim.Fidelity
-}
-
-// RunAll executes every request — plus the Dynamic CPE profiles any
-// DynCPE request needs — across the runner's worker pool, blocking
-// until all finish. Requests already memoised cost nothing; duplicate
-// requests collapse onto one execution. The first error encountered is
-// returned after all workers drain. Callers that will compute weighted
-// speedups from the results should use RunAllSpeedup so Equation 1's
-// solo runs join the same fan-out.
-func (r *Runner) RunAll(reqs []Request) error { return r.runAll(context.Background(), reqs, false) }
-
-// RunAllSpeedup is RunAll plus the solo run of each involved benchmark
-// — Equation 1's denominators, which WeightedSpeedup would otherwise
-// execute serially afterwards.
-func (r *Runner) RunAllSpeedup(reqs []Request) error {
-	return r.runAll(context.Background(), reqs, true)
-}
-
-// RunAllContext is RunAll with cancellation: once ctx is done, no new
-// simulation starts, but simulations already in flight run to
-// completion (drain semantics — a cancelled sweep never leaves the
-// memo or the store with a half-published run). Returns ctx.Err() if
-// the fan-out was cut short.
-func (r *Runner) RunAllContext(ctx context.Context, reqs []Request) error {
-	return r.runAll(ctx, reqs, false)
-}
-
-// RunRequest executes one fully keyed request with cancellation at
-// simulation granularity: a done ctx prevents the run from starting
-// (the error is ctx.Err(), and nothing is memoised for the key), while
-// an in-flight run completes and is published normally. This is the
-// experiment server's per-HTTP-request entry point.
+// RunRequest resolves one request of any kind, with cancellation at
+// simulation granularity: a done ctx prevents the lookup from starting
+// (the error is ctx.Err(), and nothing is memoised for it), while an
+// in-flight run completes and is published normally. This is the
+// experiment server's per-HTTP-request entry point. A profile's answer
+// is in the Results' Profile field.
 func (r *Runner) RunRequest(ctx context.Context, req Request) (*sim.Results, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return r.RunGroupFidelity(req.Group, req.Scheme, req.Threshold, req.Variant, req.Fidelity)
+	return r.lookup(req)
 }
 
-// AloneRequest is the cancellable fully keyed solo run.
+// AloneRequest is RunRequest for a solo run.
 func (r *Runner) AloneRequest(ctx context.Context, benchmark string, cores int, fid sim.Fidelity) (*sim.Results, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return r.aloneResults(benchmark, cores, fid)
+	return r.RunRequest(ctx, solo(KindAlone, benchmark, cores, fid))
 }
 
-// ProfileRequest is the cancellable fully keyed DynCPE profile run.
+// ProfileRequest is RunRequest for a DynCPE profile.
 func (r *Runner) ProfileRequest(ctx context.Context, benchmark string, cores int, fid sim.Fidelity) (partition.CoreProfile, error) {
-	if err := ctx.Err(); err != nil {
+	res, err := r.RunRequest(ctx, solo(KindProfile, benchmark, cores, fid))
+	if err != nil {
 		return partition.CoreProfile{}, err
 	}
-	return r.profile(benchmark, cores, fid)
+	return res.Profile, nil
 }
 
-func (r *Runner) runAll(ctx context.Context, reqs []Request, speedup bool) error {
-	var tasks []func() error
-	seenAlone := make(map[aloneKey]bool)
-	seenProfile := make(map[aloneKey]bool)
-	for _, req := range reqs {
-		cores := len(req.Group.Benchmarks)
-		for _, b := range req.Group.Benchmarks {
-			k := aloneKey{b, cores, req.Fidelity}
-			if speedup && !seenAlone[k] {
-				seenAlone[k] = true
-				tasks = append(tasks, func() error {
-					_, err := r.aloneResults(k.benchmark, k.cores, k.fidelity)
-					return err
-				})
-			}
-			if req.Scheme == sim.DynCPE && !seenProfile[k] {
-				seenProfile[k] = true
-				tasks = append(tasks, func() error {
-					_, err := r.profile(k.benchmark, k.cores, k.fidelity)
-					return err
-				})
-			}
+// RunAll resolves every request across the runner's worker pool,
+// blocking until all finish, and returns the results in request order.
+// The Dynamic CPE profiles of DynCPE group runs join the same fan-out,
+// and with speedup so does the solo run of each involved benchmark —
+// Equation 1's denominators, which WeightedSpeedup would otherwise
+// resolve serially afterwards. Requests already memoised cost nothing;
+// duplicate requests collapse onto one execution. The first error
+// encountered is returned after all workers drain.
+func (r *Runner) RunAll(reqs []Request, speedup bool) ([]*sim.Results, error) {
+	var deps []Request
+	seen := make(map[memoKey]bool)
+	need := func(req Request) {
+		if k := req.memoKey(); !seen[k] {
+			seen[k] = true
+			deps = append(deps, req)
 		}
 	}
 	for _, req := range reqs {
+		if req.Kind != KindRun {
+			continue
+		}
+		cores := len(req.Group.Benchmarks)
+		for _, b := range req.Group.Benchmarks {
+			if speedup {
+				need(solo(KindAlone, b, cores, req.Fidelity))
+			}
+			if req.Scheme == sim.DynCPE {
+				need(solo(KindProfile, b, cores, req.Fidelity))
+			}
+		}
+	}
+	tasks := make([]func() error, 0, len(deps)+len(reqs))
+	for _, req := range deps {
 		tasks = append(tasks, func() error {
-			_, err := r.RunGroupFidelity(req.Group, req.Scheme, req.Threshold, req.Variant, req.Fidelity)
+			_, err := r.lookup(req)
 			return err
 		})
 	}
-	return r.fanOut(ctx, tasks)
+	results := make([]*sim.Results, len(reqs))
+	for i, req := range reqs {
+		tasks = append(tasks, func() error {
+			var err error
+			results[i], err = r.lookup(req)
+			return err
+		})
+	}
+	if err := r.fanOut(tasks); err != nil {
+		return nil, err
+	}
+	return results, nil
 }
 
-// Prefetch warms the memo for the cross product of groups and schemes
-// at the runner's threshold, fanning the runs out over the worker pool.
-// Figure and table generators call it (or PrefetchSpeedup, when they
-// also need Equation 1's solo runs) first, then collect results from
-// the warm cache serially.
-func (r *Runner) Prefetch(groups []workload.Group, schemes []sim.SchemeKind) error {
-	return r.RunAll(r.crossRequests(groups, schemes))
-}
-
-// PrefetchSpeedup is Prefetch plus the solo runs of every involved
-// benchmark.
-func (r *Runner) PrefetchSpeedup(groups []workload.Group, schemes []sim.SchemeKind) error {
-	return r.RunAllSpeedup(r.crossRequests(groups, schemes))
-}
-
-// crossRequests builds the groups x schemes request list at the
-// runner's threshold and fidelity.
-func (r *Runner) crossRequests(groups []workload.Group, schemes []sim.SchemeKind) []Request {
+// RunCross resolves the groups x schemes cross product at the runner's
+// threshold and fidelity through RunAll and returns the results by
+// [group][scheme]. Figure and table generators call it (or RunAll)
+// once, then index into the results.
+func (r *Runner) RunCross(groups []workload.Group, schemes []sim.SchemeKind, speedup bool) ([][]*sim.Results, error) {
 	reqs := make([]Request, 0, len(groups)*len(schemes))
 	for _, g := range groups {
 		for _, s := range schemes {
@@ -562,59 +507,48 @@ func (r *Runner) crossRequests(groups []workload.Group, schemes []sim.SchemeKind
 				Fidelity: r.cfg.Fidelity})
 		}
 	}
-	return reqs
+	runs, err := r.RunAll(reqs, speedup)
+	if err != nil {
+		return nil, err
+	}
+	return slices.Collect(slices.Chunk(runs, len(schemes))), nil
 }
 
-// runPairs warms a baseline and a comparison arm for every group: the
-// two template requests are stamped with each group in turn (and the
-// runner's fidelity) and fanned out together — the shape every two-arm
-// ablation shares.
-func (r *Runner) runPairs(groups []workload.Group, speedup bool, base, alt Request) error {
+// runPairs resolves a baseline and a comparison arm for every group:
+// the two template requests are stamped with each group in turn (and
+// the runner's fidelity) and fanned out together — the shape every
+// two-arm ablation shares. It returns each arm's results by group.
+func (r *Runner) runPairs(groups []workload.Group, speedup bool, base, alt Request) (bases, alts []*sim.Results, err error) {
 	reqs := make([]Request, 0, 2*len(groups))
 	base.Fidelity, alt.Fidelity = r.cfg.Fidelity, r.cfg.Fidelity
 	for _, g := range groups {
 		base.Group, alt.Group = g, g
 		reqs = append(reqs, base, alt)
 	}
-	return r.runAll(context.Background(), reqs, speedup)
-}
-
-// PrefetchAlone warms the solo runs of the given benchmarks on the
-// LLC geometry of cores-sized groups (Table 3 measures all of them).
-func (r *Runner) PrefetchAlone(benchmarks []string, cores int) error {
-	tasks := make([]func() error, 0, len(benchmarks))
-	for _, b := range benchmarks {
-		tasks = append(tasks, func() error {
-			_, err := r.AloneResults(b, cores)
-			return err
-		})
+	runs, err := r.RunAll(reqs, speedup)
+	if err != nil {
+		return nil, nil, err
 	}
-	return r.fanOut(context.Background(), tasks)
+	for i := 0; i < len(runs); i += 2 {
+		bases = append(bases, runs[i])
+		alts = append(alts, runs[i+1])
+	}
+	return bases, alts, nil
 }
 
 // fanOut runs tasks on the runner's bounded worker pool and returns the
 // first error. Tasks execute nested dependencies (profiles, solo runs)
 // inline through the singleflight memo, so a worker never submits work
-// back to the pool and the pool cannot deadlock. A done ctx stops the
-// submission loop — tasks not yet handed to a worker never run, tasks
-// in flight complete — and surfaces as ctx.Err() when no task failed
-// first.
-func (r *Runner) fanOut(ctx context.Context, tasks []func() error) error {
-	if len(tasks) == 0 {
-		return nil
-	}
-	workers := r.workers
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
+// back to the pool and the pool cannot deadlock.
+func (r *Runner) fanOut(tasks []func() error) error {
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		firstErr error
 	)
 	work := make(chan func() error)
-	wg.Add(workers)
-	for i := 0; i < workers; i++ {
+	for range min(r.workers, len(tasks)) {
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for task := range work {
@@ -628,30 +562,12 @@ func (r *Runner) fanOut(ctx context.Context, tasks []func() error) error {
 			}
 		}()
 	}
-	cancelled := false
 	for _, task := range tasks {
-		if ctx.Err() != nil {
-			cancelled = true
-			break
-		}
-		select {
-		case work <- task:
-		case <-ctx.Done():
-			cancelled = true
-		}
-		if cancelled {
-			break
-		}
+		work <- task
 	}
 	close(work)
 	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	if cancelled {
-		return ctx.Err()
-	}
-	return nil
+	return firstErr
 }
 
 // groupsFor returns the group list for a core count: the paper's

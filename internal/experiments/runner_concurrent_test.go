@@ -75,7 +75,7 @@ func TestThresholdZeroMemoisedDistinctly(t *testing.T) {
 	r := NewRunner(Config{Scale: sim.UnitScale()})
 	g := workload.Groups2[0]
 
-	zero, err := r.RunGroupThreshold(g, sim.CoopPart, 0)
+	zero, err := r.lookup(Request{Group: g, Scheme: sim.CoopPart, Threshold: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestThresholdZeroMemoisedDistinctly(t *testing.T) {
 	if got := r.Simulations(); got != 2 {
 		t.Fatalf("executed %d simulations, want 2 (T=0 and T=default)", got)
 	}
-	defExplicit, err := r.RunGroupThreshold(g, sim.CoopPart, DefaultThreshold)
+	defExplicit, err := r.lookup(Request{Group: g, Scheme: sim.CoopPart, Threshold: DefaultThreshold})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +111,13 @@ func TestFidelityMemoisedDistinctly(t *testing.T) {
 	r := NewRunner(Config{Scale: sim.UnitScale()})
 	g := workload.Groups2[0]
 
-	exact, err := r.RunGroupFidelity(g, sim.CoopPart, r.cfg.Threshold, VariantNone, sim.FidelityExact)
+	exact, err := r.lookup(Request{Group: g, Scheme: sim.CoopPart, Threshold: r.cfg.Threshold,
+		Fidelity: sim.FidelityExact})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ff, err := r.RunGroupFidelity(g, sim.CoopPart, r.cfg.Threshold, VariantNone, sim.FidelityFastForward)
+	ff, err := r.lookup(Request{Group: g, Scheme: sim.CoopPart, Threshold: r.cfg.Threshold,
+		Fidelity: sim.FidelityFastForward})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +164,7 @@ func TestFidelityMemoisedDistinctly(t *testing.T) {
 	}
 }
 
-// TestPrefetchWarmsFigures checks PrefetchSpeedup completeness: after
+// TestPrefetchWarmsFigures checks RunCross completeness: after
 // one warm-up of the two-core cross product, generating Figures 5-7
 // must execute zero additional simulations (group runs, solo runs and
 // profiles were all covered by the fan-out).
@@ -172,7 +174,7 @@ func TestPrefetchWarmsFigures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.PrefetchSpeedup(groups, sim.AllSchemes); err != nil {
+	if _, err := r.RunCross(groups, sim.AllSchemes, true); err != nil {
 		t.Fatal(err)
 	}
 	warm := r.Simulations()
@@ -186,7 +188,7 @@ func TestPrefetchWarmsFigures(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := r.Simulations(); got != warm {
-		t.Fatalf("figures after Prefetch executed %d extra simulations", got-warm)
+		t.Fatalf("figures after RunCross executed %d extra simulations", got-warm)
 	}
 }
 
@@ -209,10 +211,10 @@ func TestFig14RunsNoSoloSimulations(t *testing.T) {
 func TestRunAllPropagatesError(t *testing.T) {
 	r := NewRunner(Config{Scale: sim.UnitScale(), Workers: 4})
 	bad := workload.Group{Name: "bad", Benchmarks: []string{"no-such-benchmark", "namd"}}
-	err := r.RunAll([]Request{
+	_, err := r.RunAll([]Request{
 		{Group: workload.Groups2[0], Scheme: sim.FairShare, Threshold: DefaultThreshold},
 		{Group: bad, Scheme: sim.FairShare, Threshold: DefaultThreshold},
-	})
+	}, false)
 	if err == nil {
 		t.Fatal("RunAll with an unknown benchmark should fail")
 	}
@@ -246,14 +248,16 @@ func TestVariantKeyedSeparately(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gated, err := r.RunGroupVariant(g, sim.CoopPart, r.cfg.Threshold, VariantNoGating)
+	gated, err := r.lookup(Request{Group: g, Scheme: sim.CoopPart, Threshold: r.cfg.Threshold,
+		Variant: VariantNoGating})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plain == gated {
 		t.Fatal("variant run aliased the plain run")
 	}
-	if _, err := r.RunGroupVariant(g, sim.CoopPart, r.cfg.Threshold, Variant("bogus")); err == nil {
+	if _, err := r.lookup(Request{Group: g, Scheme: sim.CoopPart, Threshold: r.cfg.Threshold,
+		Variant: Variant("bogus")}); err == nil {
 		t.Fatal("unknown variant should error")
 	}
 }

@@ -14,6 +14,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/internal/metrics"
@@ -46,21 +47,23 @@ func (r *Runner) ScalingSweep(counts []int, groupsPer int) ([]metrics.Figure, er
 	if len(counts) == 0 {
 		counts = ScalingCoreCounts
 	}
-	perCount := make([][]workload.Group, len(counts))
-	var reqs []Request
+	perCount := make([]int, len(counts))
+	var groups []workload.Group
 	for ci, cores := range counts {
-		groups, err := scalingGroupsFor(cores, groupsPer)
+		gs, err := scalingGroupsFor(cores, groupsPer)
 		if err != nil {
 			return nil, err
 		}
-		perCount[ci] = groups
-		reqs = append(reqs, r.crossRequests(groups, sim.AllSchemes)...)
+		perCount[ci] = len(gs)
+		groups = append(groups, gs...)
 	}
 	// One fan-out for the whole sweep: every (group, scheme) run plus
 	// Equation 1's solo runs and the DynCPE profiles.
-	if err := r.RunAllSpeedup(reqs); err != nil {
+	rows, err := r.RunCross(groups, sim.AllSchemes, true)
+	if err != nil {
 		return nil, err
 	}
+	fairCol := slices.Index(sim.AllSchemes, sim.FairShare)
 
 	ws := metrics.Figure{
 		ID:     "ScalingWS",
@@ -80,21 +83,15 @@ func (r *Runner) ScalingSweep(counts []int, groupsPer int) ([]metrics.Figure, er
 		en.X = append(en.X, label)
 	}
 
-	for _, scheme := range sim.AllSchemes {
+	for si, scheme := range sim.AllSchemes {
 		wsVals := make([]float64, len(counts))
 		enVals := make([]float64, len(counts))
-		for ci := range counts {
-			wsRatios := make([]float64, 0, len(perCount[ci]))
-			enRatios := make([]float64, 0, len(perCount[ci]))
-			for _, g := range perCount[ci] {
-				fair, err := r.RunGroup(g, sim.FairShare)
-				if err != nil {
-					return nil, err
-				}
-				res, err := r.RunGroup(g, scheme)
-				if err != nil {
-					return nil, err
-				}
+		first := 0
+		for ci, n := range perCount {
+			wsRatios := make([]float64, 0, n)
+			enRatios := make([]float64, 0, n)
+			for _, row := range rows[first : first+n] {
+				fair, res := row[fairCol], row[si]
 				fairWS, err := r.WeightedSpeedup(fair)
 				if err != nil {
 					return nil, err
@@ -105,13 +102,14 @@ func (r *Runner) ScalingSweep(counts []int, groupsPer int) ([]metrics.Figure, er
 				}
 				fairEn := fair.Dynamic + fair.Static
 				if fairWS == 0 || fairEn == 0 {
-					return nil, fmt.Errorf("scaling: zero Fair Share baseline for %s", g.Name)
+					return nil, fmt.Errorf("scaling: zero Fair Share baseline for %s", fair.Group)
 				}
 				wsRatios = append(wsRatios, schemeWS/fairWS)
 				enRatios = append(enRatios, (res.Dynamic+res.Static)/fairEn)
 			}
 			wsVals[ci] = metrics.GeoMean(wsRatios)
 			enVals[ci] = metrics.GeoMean(enRatios)
+			first += n
 		}
 		ws.Series = append(ws.Series, metrics.NamedSeries{Name: string(scheme), Values: wsVals})
 		en.Series = append(en.Series, metrics.NamedSeries{Name: string(scheme), Values: enVals})

@@ -18,15 +18,18 @@ func TestSetSampledMemoisedDistinctly(t *testing.T) {
 	r := NewRunner(Config{Scale: sim.UnitScale()})
 	g := workload.Groups2[0]
 
-	exact, err := r.RunGroupFidelity(g, sim.CoopPart, r.cfg.Threshold, VariantNone, sim.FidelityExact)
+	at := func(fid sim.Fidelity) Request {
+		return Request{Group: g, Scheme: sim.CoopPart, Threshold: r.cfg.Threshold, Fidelity: fid}
+	}
+	exact, err := r.lookup(at(sim.FidelityExact))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ff, err := r.RunGroupFidelity(g, sim.CoopPart, r.cfg.Threshold, VariantNone, sim.FidelityFastForward)
+	ff, err := r.lookup(at(sim.FidelityFastForward))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := r.RunGroupFidelity(g, sim.CoopPart, r.cfg.Threshold, VariantNone, sim.FidelitySetSampled)
+	ss, err := r.lookup(at(sim.FidelitySetSampled))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,22 +43,22 @@ func TestSetSampledMemoisedDistinctly(t *testing.T) {
 		t.Fatalf("executed %d simulations, want 3 (one per tier)", got)
 	}
 	// Repeats hit the memo.
-	if again, err := r.RunGroupFidelity(g, sim.CoopPart, r.cfg.Threshold, VariantNone, sim.FidelitySetSampled); err != nil || again != ss {
+	if again, err := r.lookup(at(sim.FidelitySetSampled)); err != nil || again != ss {
 		t.Fatalf("repeated set-sampled request missed the memo (err=%v)", err)
 	}
 
 	// Store keys: the tier is spelled out, and two strides are two
 	// distinct scale fingerprints (so a K=8 result is never served to a
 	// K=16 request).
-	kSS := r.RunKey(g, sim.CoopPart, r.cfg.Threshold, VariantNone, sim.FidelitySetSampled)
-	kFF := r.RunKey(g, sim.CoopPart, r.cfg.Threshold, VariantNone, sim.FidelityFastForward)
+	kSS := r.Key(at(sim.FidelitySetSampled))
+	kFF := r.Key(at(sim.FidelityFastForward))
 	if kSS == kFF || !strings.Contains(kSS, "fidelity=set-sampled") {
 		t.Fatalf("store key does not separate the set-sampled tier: %q", kSS)
 	}
 	sc := sim.UnitScale()
 	sc.SampleStride = 16
 	r16 := NewRunner(Config{Scale: sc})
-	if k16 := r16.RunKey(g, sim.CoopPart, r.cfg.Threshold, VariantNone, sim.FidelitySetSampled); k16 == kSS {
+	if k16 := r16.Key(at(sim.FidelitySetSampled)); k16 == kSS {
 		t.Fatal("stride 16 and the default stride share a store key")
 	}
 }
@@ -90,25 +93,23 @@ func TestSetSampledMissDistribution(t *testing.T) {
 				Threshold: r.cfg.Threshold, Fidelity: fid})
 		}
 	}
-	if err := r.RunAll(reqs); err != nil {
+	runs, err := r.RunAll(reqs, false)
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	misses := func(fid sim.Fidelity) []float64 {
+	// misses reads one tier's half of runs: exact first, then set-sampled.
+	misses := func(tier []*sim.Results) []float64 {
 		var out []float64
-		for _, g := range groups {
-			res, err := r.RunGroupFidelity(g, sim.CoopPart, r.cfg.Threshold, VariantNone, fid)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, res := range tier {
 			for _, c := range res.SchemeStats.PerCore {
 				out = append(out, float64(c.Misses))
 			}
 		}
 		return out
 	}
-	exact := misses(sim.FidelityExact)
-	sampled := misses(sim.FidelitySetSampled)
+	exact := misses(runs[:len(groups)])
+	sampled := misses(runs[len(groups):])
 	if len(exact) != len(sampled) || len(exact) == 0 {
 		t.Fatalf("bin mismatch: %d exact vs %d sampled", len(exact), len(sampled))
 	}

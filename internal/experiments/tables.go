@@ -87,20 +87,17 @@ type Table3Row struct {
 // geometry and classifies it, mirroring the paper's Table 3. The
 // nineteen solo runs are independent and fan out over the worker pool.
 func (r *Runner) Table3() ([]Table3Row, error) {
-	names := make([]string, 0, len(workload.All()))
+	reqs := make([]Request, 0, len(workload.All()))
 	for _, b := range workload.All() {
-		names = append(names, b.Name)
+		reqs = append(reqs, solo(KindAlone, b.Name, 2, r.cfg.Fidelity))
 	}
-	if err := r.PrefetchAlone(names, 2); err != nil {
+	runs, err := r.RunAll(reqs, false)
+	if err != nil {
 		return nil, err
 	}
 	var rows []Table3Row
-	for _, b := range workload.All() {
-		res, err := r.AloneResults(b.Name, 2)
-		if err != nil {
-			return nil, err
-		}
-		mpki := res.MPKI[0]
+	for i, b := range workload.All() {
+		mpki := runs[i].MPKI[0]
 		rows = append(rows, Table3Row{
 			Benchmark:    b.Name,
 			PaperMPKI:    b.PaperMPKI,

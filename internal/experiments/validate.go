@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/ckpt"
 	"repro/internal/metrics"
@@ -158,7 +159,7 @@ func ValidateTiers(cfg TierCheckConfig) (*TierReport, error) {
 	// tier index 0 is the exact baseline.
 	sums := make([][][]float64, len(tierFigureIDs))
 	for i := range sums {
-		sums[i] = make([][]float64, len(tierSchemes))
+		sums[i] = make([][]float64, len(sim.AllSchemes))
 		for j := range sums[i] {
 			sums[i][j] = make([]float64, len(tiers))
 		}
@@ -181,12 +182,18 @@ func ValidateTiers(cfg TierCheckConfig) (*TierReport, error) {
 				}
 			}
 		}
-		if err := r.RunAllSpeedup(reqs); err != nil {
+		runs, err := r.RunAll(reqs, true)
+		if err != nil {
 			return nil, err
 		}
-		for si, scheme := range tierSchemes {
+		// byTier is [tier][group][scheme].
+		var byTier [][][]*sim.Results
+		for tier := range slices.Chunk(runs, len(groups)*len(sim.AllSchemes)) {
+			byTier = append(byTier, slices.Collect(slices.Chunk(tier, len(sim.AllSchemes))))
+		}
+		for si := range sim.AllSchemes {
 			for ti, fid := range tiers {
-				m, err := r.tierCell(groups, scheme, fid)
+				m, err := r.tierCell(byTier[ti], si, fid)
 				if err != nil {
 					return nil, err
 				}
@@ -213,12 +220,12 @@ func ValidateTiers(cfg TierCheckConfig) (*TierReport, error) {
 	n := float64(len(cfg.Seeds))
 	for fi, id := range tierFigureIDs {
 		fig := TierFigure{ID: id}
-		exact := make([]float64, len(tierSchemes))
-		for si := range tierSchemes {
+		exact := make([]float64, len(sim.AllSchemes))
+		for si := range sim.AllSchemes {
 			exact[si] = sums[fi][si][0] / n
 		}
 		for ti, fid := range cfg.Tiers {
-			for si, scheme := range tierSchemes {
+			for si, scheme := range sim.AllSchemes {
 				val := sums[fi][si][ti+1] / n
 				d := TierDelta{
 					Scheme: string(scheme), Tier: fid.String(),
@@ -246,25 +253,16 @@ func ValidateTiers(cfg TierCheckConfig) (*TierReport, error) {
 	return report, nil
 }
 
-// tierSchemes is AllSchemes in report order.
-var tierSchemes = sim.AllSchemes
-
-// tierCell computes one (scheme, tier) cell from the runner's warm
-// memo: geomean over groups of the metric normalised to the same
-// tier's FairShare run.
-func (r *Runner) tierCell(groups []workload.Group, scheme sim.SchemeKind, fid sim.Fidelity) (tierMetrics, error) {
-	wsR := make([]float64, 0, len(groups))
-	dynR := make([]float64, 0, len(groups))
-	statR := make([]float64, 0, len(groups))
-	for _, g := range groups {
-		fair, err := r.RunGroupFidelity(g, sim.FairShare, r.cfg.Threshold, VariantNone, fid)
-		if err != nil {
-			return tierMetrics{}, err
-		}
-		res, err := r.RunGroupFidelity(g, scheme, r.cfg.Threshold, VariantNone, fid)
-		if err != nil {
-			return tierMetrics{}, err
-		}
+// tierCell computes one (scheme, tier) cell from one tier's runs by
+// [group][scheme]: geomean over groups of the metric normalised to the
+// same tier's FairShare run.
+func (r *Runner) tierCell(rows [][]*sim.Results, scheme int, fid sim.Fidelity) (tierMetrics, error) {
+	wsR := make([]float64, 0, len(rows))
+	dynR := make([]float64, 0, len(rows))
+	statR := make([]float64, 0, len(rows))
+	fairCol := slices.Index(sim.AllSchemes, sim.FairShare)
+	for _, row := range rows {
+		fair, res := row[fairCol], row[scheme]
 		fairWS, err := r.WeightedSpeedup(fair)
 		if err != nil {
 			return tierMetrics{}, err
@@ -274,7 +272,7 @@ func (r *Runner) tierCell(groups []workload.Group, scheme sim.SchemeKind, fid si
 			return tierMetrics{}, err
 		}
 		if fairWS == 0 || fair.Dynamic == 0 || fair.StaticPower == 0 {
-			return tierMetrics{}, fmt.Errorf("experiments: zero FairShare baseline for %s at %s", g.Name, fid)
+			return tierMetrics{}, fmt.Errorf("experiments: zero FairShare baseline for %s at %s", fair.Group, fid)
 		}
 		wsR = append(wsR, ws/fairWS)
 		dynR = append(dynR, res.Dynamic/fair.Dynamic)

@@ -72,7 +72,7 @@ func (s ClientStats) String() string {
 // server. All methods are safe for concurrent use and can never fail
 // their caller: every transport fault is absorbed by retry (bounded
 // exponential backoff with jitter — requests are idempotent pure
-// lookups, keyed by the same runKey identity the disk store uses) and
+// lookups, keyed by the same canonical key the disk store uses) and
 // then by the degradation ladder (MaxFailures consecutive failed
 // attempts ⇒ warn once, answer ok=false forever ⇒ the runner computes
 // locally). A server that dies mid-sweep costs bounded retry time on
@@ -165,40 +165,38 @@ func (c *Client) warnOnce(class, format string, args ...any) {
 // RemoteRun implements experiments.Remote for group runs.
 func (c *Client) RemoteRun(key string, sc sim.Scale, seed uint64, g workload.Group,
 	scheme sim.SchemeKind, threshold float64, v experiments.Variant, fid sim.Fidelity) (*sim.Results, bool) {
-	var res sim.Results
-	if !c.exchange(RunRequest{
-		Kind: KindRun, Key: key, Scale: sc, Seed: seed, Fidelity: fid.String(),
-		Group: g, Scheme: scheme, Threshold: threshold, Variant: v,
-	}, &res) {
-		return nil, false
-	}
-	return &res, true
+	return c.fetch(experiments.KindRun, RunRequest{Key: key, Scale: sc, Seed: seed, Fidelity: fid.String(),
+		Group: g, Scheme: scheme, Threshold: threshold, Variant: v})
 }
 
 // RemoteAlone implements experiments.Remote for solo runs.
 func (c *Client) RemoteAlone(key string, sc sim.Scale, seed uint64,
 	benchmark string, cores int, fid sim.Fidelity) (*sim.Results, bool) {
-	var res sim.Results
-	if !c.exchange(RunRequest{
-		Kind: KindAlone, Key: key, Scale: sc, Seed: seed, Fidelity: fid.String(),
-		Benchmark: benchmark, Cores: cores,
-	}, &res) {
-		return nil, false
-	}
-	return &res, true
+	return c.fetch(experiments.KindAlone, RunRequest{Key: key, Scale: sc, Seed: seed, Fidelity: fid.String(),
+		Benchmark: benchmark, Cores: cores})
 }
 
 // RemoteProfile implements experiments.Remote for DynCPE profiles.
 func (c *Client) RemoteProfile(key string, sc sim.Scale, seed uint64,
 	benchmark string, cores int, fid sim.Fidelity) (partition.CoreProfile, bool) {
-	var p partition.CoreProfile
-	if !c.exchange(RunRequest{
-		Kind: KindProfile, Key: key, Scale: sc, Seed: seed, Fidelity: fid.String(),
-		Benchmark: benchmark, Cores: cores,
-	}, &p) {
+	res, ok := c.fetch(experiments.KindProfile, RunRequest{Key: key, Scale: sc, Seed: seed, Fidelity: fid.String(),
+		Benchmark: benchmark, Cores: cores})
+	if !ok {
 		return partition.CoreProfile{}, false
 	}
-	return p, true
+	return res.Profile, true
+}
+
+// fetch sends a request of the given kind through exchange, decoding
+// the answer into the part of a Results the kind carries
+// (experiments.Kind.Payload).
+func (c *Client) fetch(kind experiments.Kind, req RunRequest) (*sim.Results, bool) {
+	req.Kind = kind.String()
+	var res sim.Results
+	if !c.exchange(req, kind.Payload(&res)) {
+		return nil, false
+	}
+	return &res, true
 }
 
 // exchange runs one request through the retry/degradation ladder and

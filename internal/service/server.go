@@ -210,7 +210,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "decoding request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	fid, err := sim.ParseFidelity(req.Fidelity)
+	job, err := req.job()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -220,22 +220,19 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// Recompute the canonical key from the request fields; the client
 	// computed the same string from its own runner. A mismatch means
 	// the two sides disagree about what this run *is* (version or
-	// config skew) and must never be papered over with a result.
-	var want string
-	switch req.Kind {
-	case KindRun:
-		want = runner.RunKey(req.Group, req.Scheme, req.Threshold, req.Variant, fid)
-	case KindAlone:
-		want = runner.AloneKey(req.Benchmark, req.Cores, fid)
-	case KindProfile:
-		want = runner.ProfileKey(req.Benchmark, req.Cores, fid)
-	default:
-		http.Error(w, fmt.Sprintf("unknown kind %q", req.Kind), http.StatusBadRequest)
-		return
-	}
-	if want != req.Key {
+	// config skew) and must never be papered over with a result. The
+	// key carries a group's name, not its benchmarks, so a group run
+	// whose benchmark list differs from the named group's is the same
+	// skew: answering it would publish one mix's result under another's
+	// key, for every later client to be served.
+	if want := runner.Key(job); want != req.Key {
 		http.Error(w, fmt.Sprintf("key mismatch: client %q, server %q", req.Key, want),
 			http.StatusConflict)
+		return
+	}
+	if job.Kind == experiments.KindRun && !canonicalGroup(req.Group) {
+		http.Error(w, fmt.Sprintf("group %s: benchmarks %v are not the workload table's",
+			req.Group.Name, req.Group.Benchmarks), http.StatusConflict)
 		return
 	}
 
@@ -253,26 +250,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		<-s.sem
 	}()
 
-	var value any
-	ctx := r.Context()
-	switch req.Kind {
-	case KindRun:
-		value, err = runner.RunRequest(ctx, experiments.Request{
-			Group: req.Group, Scheme: req.Scheme, Threshold: req.Threshold,
-			Variant: req.Variant, Fidelity: fid,
-		})
-	case KindAlone:
-		value, err = runner.AloneRequest(ctx, req.Benchmark, req.Cores, fid)
-	case KindProfile:
-		value, err = runner.ProfileRequest(ctx, req.Benchmark, req.Cores, fid)
-	}
+	res, err := runner.RunRequest(r.Context(), job)
 	if err != nil {
 		s.failed.Add(1)
 		s.logf("service: %s %s: %v", req.Kind, req.Key, err)
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	resp, err := frameFormat.Encode(req.Key, value)
+	resp, err := frameFormat.Encode(req.Key, job.Kind.Payload(res))
 	if err != nil {
 		s.failed.Add(1)
 		http.Error(w, "service: encoding result: "+err.Error(), http.StatusInternalServerError)

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -90,16 +91,16 @@ func TestRemoteMatchesLocal(t *testing.T) {
 	sc := sim.UnitScale()
 	g := mustGroup(t, "G2-1")
 
+	ctx := context.Background()
+	req := experiments.Request{Group: g, Scheme: sim.CoopPart, Threshold: experiments.DefaultThreshold}
 	local := experiments.NewRunner(experiments.Config{Scale: sc})
-	want, err := local.RunGroupFidelity(g, sim.CoopPart, experiments.DefaultThreshold,
-		experiments.VariantNone, sim.FidelityExact)
+	want, err := local.RunRequest(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	remote := experiments.NewRunner(experiments.Config{Scale: sc, Remote: cl})
-	got, err := remote.RunGroupFidelity(g, sim.CoopPart, experiments.DefaultThreshold,
-		experiments.VariantNone, sim.FidelityExact)
+	got, err := remote.RunRequest(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +116,11 @@ func TestRemoteMatchesLocal(t *testing.T) {
 	}
 
 	// Solo runs and profiles ride the same exchange.
-	wantAlone, err := local.AloneResults(g.Benchmarks[0], 2)
+	wantAlone, err := local.AloneRequest(ctx, g.Benchmarks[0], 2, sim.FidelityExact)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotAlone, err := remote.AloneResults(g.Benchmarks[0], 2)
+	gotAlone, err := remote.AloneRequest(ctx, g.Benchmarks[0], 2, sim.FidelityExact)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,8 +145,8 @@ func TestEveryFaultScheduleConverges(t *testing.T) {
 	sc := sim.UnitScale()
 	g := mustGroup(t, "G2-1")
 	baseline := experiments.NewRunner(experiments.Config{Scale: sc})
-	want, err := baseline.RunGroupFidelity(g, sim.UCP, experiments.DefaultThreshold,
-		experiments.VariantNone, sim.FidelityExact)
+	req := experiments.Request{Group: g, Scheme: sim.UCP, Threshold: experiments.DefaultThreshold}
+	want, err := baseline.RunRequest(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,8 +177,7 @@ func TestEveryFaultScheduleConverges(t *testing.T) {
 				MaxFailures:    4,
 			})
 			remote := experiments.NewRunner(experiments.Config{Scale: sc, Remote: cl})
-			got, err := remote.RunGroupFidelity(g, sim.UCP, experiments.DefaultThreshold,
-				experiments.VariantNone, sim.FidelityExact)
+			got, err := remote.RunRequest(context.Background(), req)
 			if err != nil {
 				t.Fatalf("fault schedule surfaced an error: %v", err)
 			}
@@ -268,6 +268,50 @@ func TestKeyMismatchIsPermanent(t *testing.T) {
 	}
 }
 
+// TestGroupSkewIsRefused: keys name a group run's group, not its
+// benchmarks, so a client sending a canonical group name with another
+// benchmark list must get a 409 (permanent, like a key mismatch) —
+// and a second, honest client asking for that group must then be
+// served the canonical mix, not a result the first request published
+// under the group's key.
+func TestGroupSkewIsRefused(t *testing.T) {
+	restore := sleepFn
+	sleepFn = func(time.Duration) {}
+	defer func() { sleepFn = restore }()
+
+	base, _, _ := newTestServer(t)
+	sc := sim.UnitScale()
+	g := mustGroup(t, "G2-1")
+	req := experiments.Request{Group: g, Scheme: sim.CoopPart, Threshold: experiments.DefaultThreshold}
+	local := experiments.NewRunner(experiments.Config{Scale: sc})
+	key := local.Key(req)
+
+	tr := &FaultTripper{}
+	rogue := newTestClient(t, base, ClientOptions{Transport: tr, MaxAttempts: 5})
+	forged := workload.Group{Name: g.Name, Benchmarks: []string{"namd", "namd"}}
+	if _, ok := rogue.RemoteRun(key, sc, 1, forged, sim.CoopPart, experiments.DefaultThreshold,
+		experiments.VariantNone, sim.FidelityExact); ok {
+		t.Fatal("server answered a group whose benchmarks differ from its name's")
+	}
+	if !rogue.Degraded() || tr.Calls() != 1 {
+		t.Fatalf("degraded=%v after %d calls; want a permanent refusal", rogue.Degraded(), tr.Calls())
+	}
+
+	honest := newTestClient(t, base, ClientOptions{})
+	got, ok := honest.RemoteRun(key, sc, 1, g, sim.CoopPart, experiments.DefaultThreshold,
+		experiments.VariantNone, sim.FidelityExact)
+	if !ok {
+		t.Fatal("honest request was not served")
+	}
+	want, err := local.RunRequest(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mustJSON(t, got) != mustJSON(t, want) {
+		t.Fatalf("honest client served %v for %s, want %v", got.Benchmarks, g.Name, want.Benchmarks)
+	}
+}
+
 // TestServerRejectsGarbage: malformed bodies, a version-1 JSON body,
 // bad fidelity, unknown kinds, frames of another version or key, and
 // wrong methods.
@@ -291,11 +335,11 @@ func TestServerRejectsGarbage(t *testing.T) {
 	for name, body := range map[string][]byte{
 		"malformed body":  []byte("{not json"),
 		"v1 JSON body":    []byte(`{"kind":"run","key":"k","fidelity":"exact"}`),
-		"bad fidelity":    frame(frameFormat, "k", RunRequest{Kind: KindRun, Key: "k", Fidelity: "warp9"}),
+		"bad fidelity":    frame(frameFormat, "k", RunRequest{Kind: "run", Key: "k", Fidelity: "warp9"}),
 		"unknown kind":    frame(frameFormat, "k", RunRequest{Kind: "teleport", Key: "k", Fidelity: "exact"}),
-		"other version":   frame(wire.NewFormat("coopserv", ProtocolVersion+1), "k", RunRequest{Kind: KindRun, Key: "k", Fidelity: "exact"}),
-		"frame key skew":  frame(frameFormat, "k", RunRequest{Kind: KindRun, Key: "other", Fidelity: "exact"}),
-		"truncated frame": frame(frameFormat, "k", RunRequest{Kind: KindRun, Key: "k", Fidelity: "exact"})[:70],
+		"other version":   frame(wire.NewFormat("coopserv", ProtocolVersion+1), "k", RunRequest{Kind: "run", Key: "k", Fidelity: "exact"}),
+		"frame key skew":  frame(frameFormat, "k", RunRequest{Kind: "run", Key: "other", Fidelity: "exact"}),
+		"truncated frame": frame(frameFormat, "k", RunRequest{Kind: "run", Key: "k", Fidelity: "exact"})[:70],
 	} {
 		if code := post(body); code != http.StatusBadRequest {
 			t.Errorf("%s: %d, want 400", name, code)
@@ -498,8 +542,7 @@ func BenchmarkServiceRoundTrip(b *testing.B) {
 	}
 	sc := sim.UnitScale()
 	local := experiments.NewRunner(experiments.Config{Scale: sc})
-	key := local.RunKey(g, sim.CoopPart, experiments.DefaultThreshold,
-		experiments.VariantNone, sim.FidelityExact)
+	key := local.Key(experiments.Request{Group: g, Scheme: sim.CoopPart, Threshold: experiments.DefaultThreshold})
 	if _, ok := cl.RemoteRun(key, sc, 1, g, sim.CoopPart,
 		experiments.DefaultThreshold, experiments.VariantNone, sim.FidelityExact); !ok {
 		b.Fatal("warmup request failed")

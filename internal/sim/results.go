@@ -93,7 +93,11 @@ func SoloGroup(benchmark string) workload.Group {
 // will be compared with, so the core count of the target group is part
 // of the key.
 func RunAlone(benchmark string, sc Scale, coresInGroup int, seed uint64) (*Results, error) {
-	return RunAloneFidelity(benchmark, sc, coresInGroup, seed, FidelityExact)
+	cfg, err := AloneConfig(benchmark, sc, coresInGroup, seed, FidelityExact)
+	if err != nil {
+		return nil, err
+	}
+	return Run(cfg)
 }
 
 // AloneConfig builds the RunConfig of a benchmark's alone run: a scale
@@ -129,28 +133,10 @@ func ProfileConfig(benchmark string, sc Scale, coresInGroup int, seed uint64, fi
 	return cfg, nil
 }
 
-// RunAloneFidelity is RunAlone at an explicit RNG-walk tier: Equation
-// 1's denominators must come from the same tier as the shared runs
-// they normalise, so FastForward evaluations solo-run at FastForward.
-func RunAloneFidelity(benchmark string, sc Scale, coresInGroup int, seed uint64, fid Fidelity) (*Results, error) {
-	cfg, err := AloneConfig(benchmark, sc, coresInGroup, seed, fid)
-	if err != nil {
-		return nil, err
-	}
-	return Run(cfg)
-}
-
 // ProfileBenchmark runs a benchmark solo and captures its per-phase
 // utility curves for Dynamic CPE (the paper's offline profiling step).
 func ProfileBenchmark(benchmark string, sc Scale, coresInGroup int, seed uint64) (partition.CoreProfile, error) {
-	return ProfileBenchmarkFidelity(benchmark, sc, coresInGroup, seed, FidelityExact)
-}
-
-// ProfileBenchmarkFidelity is ProfileBenchmark at an explicit RNG-walk
-// tier (Dynamic CPE's profiles feed allocation decisions, so a
-// FastForward evaluation profiles at FastForward).
-func ProfileBenchmarkFidelity(benchmark string, sc Scale, coresInGroup int, seed uint64, fid Fidelity) (partition.CoreProfile, error) {
-	cfg, err := ProfileConfig(benchmark, sc, coresInGroup, seed, fid)
+	cfg, err := ProfileConfig(benchmark, sc, coresInGroup, seed, FidelityExact)
 	if err != nil {
 		return partition.CoreProfile{}, err
 	}
